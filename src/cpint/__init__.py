@@ -10,9 +10,9 @@ half-plane Poisson / Laplace transforms on top of that single
 representation.
 """
 
-from .bv import (BVFunction, NBVFunction, Piece, blocks, constant,
-                 from_callable, from_knots, heaviside, indicator, monotone,
-                 normalize_nbv, rs_integral, variation)
+from .bv import (BVFunction, Piece, blocks, constant, from_callable,
+                 from_knots, heaviside, indicator, monotone, normalize_nbv,
+                 rs_integral, variation)
 from .cfun import (ContinuousFunctionBar, TestFunction, build_continuous,
                    bump, delta_sequence, extremes, sup_norm)
 from .chart import (INF, NEG_INF, compactify, decompactify, format_extended,

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .chart import INF, NEG_INF, compactify, decompactify
+from .chart import INF, NEG_INF, compactify, decompactify, golden_max
 from .cfun import ContinuousFunctionBar
 from .errors import BudgetExceeded, IntervalEmpty, MalformedPieces
 
@@ -156,18 +156,6 @@ class BVFunction:
             best = min(best, abs(self(p)))
         return best
 
-    def is_nbv(self) -> bool:
-        if any(self(p) != self.right_limit(p) for p in self.breakpoints):
-            return False
-        if self.value_neg_inf != self.right_limit(NEG_INF):
-            return False
-        return self.value_pos_inf == self.left_limit(INF)
-
-
-class NBVFunction(BVFunction):
-    """BVFunction normalised to right continuity on [-inf, inf) and left
-    continuity at +inf."""
-
 
 def variation(g: BVFunction) -> float:
     """Exact variation of g over the extended real line."""
@@ -175,10 +163,9 @@ def variation(g: BVFunction) -> float:
     return g.variation()
 
 
-def normalize_nbv(g: BVFunction) -> NBVFunction:
+def normalize_nbv(g: BVFunction) -> BVFunction:
     """Right-continuous representative; equals g off the jump set."""
-    return NBVFunction(g.pieces, point_values={}, value_neg_inf=None,
-                       value_pos_inf=None)
+    return BVFunction(g.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +274,13 @@ def from_callable(fn: Callable[[float], float], lo: float, hi: float,
     vs = [limit_lo if not math.isfinite(x) else fn(x) for x in xs]
     vs[-1] = limit_hi if not math.isfinite(xs[-1]) else vs[-1]
 
-    # refine each sampled slope-sign change to a tight bracket by
-    # ternary search for the local extremum
+    # cut at the refined extremum around each sampled slope-sign change
     cuts = []
     for i in range(1, len(xs) - 1):
         if (vs[i] - vs[i - 1]) * (vs[i + 1] - vs[i]) < 0.0:
             sgn = 1.0 if vs[i] > vs[i - 1] else -1.0  # local max vs min
-            a, b = xs[i - 1], xs[i + 1]
-            for _ in range(200):
-                m1 = a + (b - a) / 3.0
-                m2 = b - (b - a) / 3.0
-                if sgn * fn(m1) < sgn * fn(m2):
-                    a = m1
-                else:
-                    b = m2
-                if b - a < 1e-12 * (1.0 + abs(a)):
-                    break
-            cuts.append(0.5 * (a + b))
+            cuts.append(golden_max(lambda x: sgn * fn(x),
+                                   xs[i - 1], xs[i + 1])[0])
     knots = []
     if math.isfinite(lo):
         knots.append(lo)
@@ -315,8 +292,9 @@ def from_callable(fn: Callable[[float], float], lo: float, hi: float,
     prev = lo
     prev_val = limit_lo
     for k in knots[1:] if math.isfinite(lo) else knots:
-        pieces.append(Piece(prev, k, fn, prev_val, fn(k)))
-        prev, prev_val = k, fn(k)
+        v = fn(k)
+        pieces.append(Piece(prev, k, fn, prev_val, v))
+        prev, prev_val = k, v
     pieces.append(Piece(prev, hi, fn, prev_val, limit_hi))
     if not math.isfinite(lo):
         head = []

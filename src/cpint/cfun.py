@@ -19,13 +19,16 @@ from typing import Callable, Optional
 
 from scipy import integrate
 
-from .chart import INF, NEG_INF, decompactify, uniform_u_grid
+from .chart import INF, NEG_INF, decompactify, scan_max, uniform_u_grid
 from .errors import BudgetExceeded, NoLimitAtInfinity, NotContinuous
 
 DEFAULT_TOL = 1e-10
 DEFAULT_DEPTH_CAP = 40
 
 _AUDIT_GRID = 1025          # initial uniform points in u
+_INTERVAL_GRID = 257        # initial uniform points of audit_on_interval
+_EXTREMES_GRID = 8193       # uniform points in u scanned by extremes
+_EXTREMES_REFINE = 32       # local-maximum cells refined per sign
 _TAIL_EXPONENTS = range(34, 66)   # x = 2**k - 1 approaching infinity
 _STALL_LIMIT = 8            # consecutive non-shrinking refinements => jump
 _STALL_RATIO = 0.95         # "failed to shrink" threshold per refinement
@@ -50,7 +53,6 @@ class ContinuousFunctionBar:
     evaluator: Callable[[float], float]
     limit_neg: float
     limit_pos: float
-    smoothness_hint: Optional[float] = None
 
     def __call__(self, x: float) -> float:
         if x == INF:
@@ -67,14 +69,12 @@ class ContinuousFunctionBar:
     def shifted(self, c: float) -> "ContinuousFunctionBar":
         ev = self.evaluator
         return ContinuousFunctionBar(lambda x: _safe(ev, x) + c,
-                                     self.limit_neg + c, self.limit_pos + c,
-                                     self.smoothness_hint)
+                                     self.limit_neg + c, self.limit_pos + c)
 
     def scaled(self, a: float) -> "ContinuousFunctionBar":
         ev = self.evaluator
         return ContinuousFunctionBar(lambda x: a * _safe(ev, x),
-                                     a * self.limit_neg, a * self.limit_pos,
-                                     self.smoothness_hint)
+                                     a * self.limit_neg, a * self.limit_pos)
 
     def plus(self, other: "ContinuousFunctionBar") -> "ContinuousFunctionBar":
         ea, eb = self.evaluator, other.evaluator
@@ -85,8 +85,7 @@ class ContinuousFunctionBar:
     def translated(self, t: float) -> "ContinuousFunctionBar":
         ev = self.evaluator
         return ContinuousFunctionBar(lambda x: _safe(ev, x - t),
-                                     self.limit_neg, self.limit_pos,
-                                     self.smoothness_hint)
+                                     self.limit_neg, self.limit_pos)
 
     def pointwise_max(self, other: "ContinuousFunctionBar") -> "ContinuousFunctionBar":
         ea, eb = self.evaluator, other.evaluator
@@ -106,14 +105,21 @@ class ContinuousFunctionBar:
                                      abs(self.limit_neg), abs(self.limit_pos))
 
 
-def _tail_audit(evaluator, limit, sign: int, tol: float) -> None:
-    """Check the evaluator settles onto `limit` along x = sign*(2**k - 1)."""
-    for k in _TAIL_EXPONENTS:
-        x = sign * (2.0 ** k - 1.0)
-        v = _safe(evaluator, x)
+def _tail_limit(evaluator, sign: int, tol: float,
+                limit: Optional[float] = None) -> float:
+    """Check the evaluator settles along x = sign*(2**k - 1) onto the
+    claimed `limit` or, when none is claimed, onto the mean of its
+    samples; return that limit."""
+    xs = [sign * (2.0 ** k - 1.0) for k in _TAIL_EXPONENTS]
+    samples = ((x, _safe(evaluator, x)) for x in xs)
+    if limit is None:
+        samples = list(samples)
+        limit = sum(v for _, v in samples) / len(samples)
+    for x, v in samples:
         if not (abs(v - limit) < tol * (1.0 + abs(limit))):
             raise NoLimitAtInfinity(
-                f"evaluator at x={x:g} gives {v!r}, claimed limit {limit!r}")
+                f"evaluator at x={x:g} gives {v!r}, limit {limit!r}")
+    return limit
 
 
 def _audit_cell(feval_u, ua, va, ub, vb, tol, depth_cap,
@@ -154,10 +160,28 @@ def _audit_cell(feval_u, ua, va, ub, vb, tol, depth_cap,
             where=coord(um))
 
 
+def _audit_grid(feval, grid, tol, depth_cap, coord=decompactify) -> None:
+    """Oscillation audit: evaluate the grid, then descend into each cell."""
+    vals = [feval(t) for t in grid]
+    for t, v in zip(grid, vals):
+        if math.isnan(v):
+            raise NotContinuous(f"evaluator undefined at x={coord(t)!r}",
+                                where=coord(t))
+    for i in range(len(grid) - 1):
+        _audit_cell(feval, grid[i], vals[i], grid[i + 1], vals[i + 1],
+                    tol, depth_cap, coord)
+
+
+def _audited(F: "ContinuousFunctionBar", tol: float,
+             depth_cap: int) -> "ContinuousFunctionBar":
+    """F, once the oscillation audit over the whole chart has passed."""
+    _audit_grid(F.at_u, uniform_u_grid(_AUDIT_GRID), tol, depth_cap)
+    return F
+
+
 def audit_on_interval(fn: Callable[[float], float], a: float, b: float,
                       tol: float = DEFAULT_TOL,
-                      depth_cap: int = DEFAULT_DEPTH_CAP,
-                      grid_points: int = 257) -> None:
+                      depth_cap: int = DEFAULT_DEPTH_CAP) -> None:
     """Oscillation audit of fn on the finite interval [a, b].
 
     Raises NotContinuous on a detected jump or undefined value; returns
@@ -165,15 +189,10 @@ def audit_on_interval(fn: Callable[[float], float], a: float, b: float,
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("audit interval must be finite with a < b")
-    step = (b - a) / (grid_points - 1)
-    xs = [a + i * step for i in range(grid_points)]
-    vs = [_safe(fn, x) for x in xs]
-    for x, v in zip(xs, vs):
-        if math.isnan(v):
-            raise NotContinuous(f"evaluator undefined at x={x!r}", where=x)
-    for i in range(grid_points - 1):
-        _audit_cell(lambda t: _safe(fn, t), xs[i], vs[i], xs[i + 1], vs[i + 1],
-                    tol, depth_cap, coord=lambda t: t)
+    step = (b - a) / (_INTERVAL_GRID - 1)
+    xs = [a + i * step for i in range(_INTERVAL_GRID)]
+    _audit_grid(lambda t: _safe(fn, t), xs, tol, depth_cap,
+                coord=lambda t: t)
 
 
 def build_continuous(evaluator: Callable[[float], float],
@@ -187,76 +206,28 @@ def build_continuous(evaluator: Callable[[float], float],
     """
     if not (math.isfinite(limit_neg) and math.isfinite(limit_pos)):
         raise NoLimitAtInfinity("claimed limits must be finite reals")
-    _tail_audit(evaluator, limit_pos, +1, tol)
-    _tail_audit(evaluator, limit_neg, -1, tol)
-
-    result = ContinuousFunctionBar(evaluator, limit_neg, limit_pos)
-    grid = uniform_u_grid(_AUDIT_GRID)
-    vals = [result.at_u(u) for u in grid]
-    for v, u in zip(vals, grid):
-        if math.isnan(v):
-            raise NotContinuous(f"evaluator undefined at x={decompactify(u)!r}",
-                                where=decompactify(u))
-    for i in range(len(grid) - 1):
-        _audit_cell(result.at_u, grid[i], vals[i], grid[i + 1], vals[i + 1],
+    _tail_limit(evaluator, +1, tol, limit_pos)
+    _tail_limit(evaluator, -1, tol, limit_neg)
+    return _audited(ContinuousFunctionBar(evaluator, limit_neg, limit_pos),
                     tol, depth_cap)
-    return result
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fn, lo: float, hi: float, width: float = 1e-13) -> float:
-    """Golden-section maximum of fn on [lo, hi] to the given bracket
-    width; unlike parabolic minimizers it keeps full precision at kinks."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > width:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-    return max(fc, fd, fn(lo), fn(hi))
-
-
-def extremes(F: ContinuousFunctionBar, tol: float = DEFAULT_TOL,
-             grid_points: int = 8193, refine_top: int = 32) -> tuple[float, float]:
+def extremes(F: ContinuousFunctionBar,
+             tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """(sup, inf) of F over the extended real line.
 
-    Grid scan in the compact chart, then bounded scalar minimization on
-    the best cells around every surviving local extremum.
+    Grid scan in the compact chart, then golden refinement of the best
+    cells around the surviving local extrema.
     """
-    grid = uniform_u_grid(grid_points)
+    grid = uniform_u_grid(_EXTREMES_GRID)
     vals = [F.at_u(u) for u in grid]
     for v in vals:
         if math.isnan(v):
             raise BudgetExceeded("evaluator undefined inside extremes scan")
-    n = len(grid)
-
-    def refine(sgn: float) -> float:
-        # maximize sgn*F: grid best plus local refinement of every
-        # surviving local maximum cell
-        signed = [sgn * v for v in vals]
-        best = max(signed)
-        cand = [i for i in range(n)
-                if (i == 0 or signed[i] >= signed[i - 1])
-                and (i == n - 1 or signed[i] >= signed[i + 1])]
-        cand.sort(key=lambda i: -signed[i])
-        for i in cand[:refine_top]:
-            lo = max(grid[max(i - 1, 0)], -1.0 + 1e-12)
-            hi = min(grid[min(i + 1, n - 1)], 1.0 - 1e-12)
-            if hi <= lo:
-                continue
-            best = max(best, _golden_max(lambda u: sgn * F.at_u(u), lo, hi))
-        return sgn * best
-
-    return refine(1.0), refine(-1.0)
+    sup = scan_max(F.at_u, grid, vals, _EXTREMES_REFINE)
+    inf = -scan_max(lambda u: -F.at_u(u), grid, [-v for v in vals],
+                    _EXTREMES_REFINE)
+    return sup, inf
 
 
 def sup_norm(F: ContinuousFunctionBar, tol: float = DEFAULT_TOL) -> float:
@@ -331,12 +302,3 @@ def delta_sequence(x0: float, n: int) -> TestFunction:
         raise ValueError("n must be >= 1")
     width = 1.0 / n
     return TestFunction(x0, width, amplitude=1.0 / (width * _PROFILE_MASS))
-
-
-def pair_with_continuous(G: Callable[[float], float], phi: TestFunction,
-                         rtol: float = 1e-12) -> float:
-    """<G, phi> as a plain quadrature over the support of phi."""
-    lo, hi = phi.support
-    val, _ = integrate.quad(lambda x: G(x) * phi(x), lo, hi,
-                            epsabs=1e-14, epsrel=rtol, limit=200)
-    return val

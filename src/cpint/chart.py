@@ -3,19 +3,19 @@
 Everything numeric in the library happens in the coordinate
 u = x / (1 + |x|), which maps [-inf, inf] onto [-1, 1] with a strictly
 increasing algebraic bijection.  Grids, audits and refinements all live
-in u; x-space values are recovered with :func:`decompactify`.
+in u; x-space values are recovered with :func:`decompactify`.  The
+scan-and-refine kernel below does every grid refinement in the library.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 INF = math.inf
 NEG_INF = -math.inf
 
-
-def is_finite(x: float) -> bool:
-    return math.isfinite(x)
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def compactify(x: float) -> float:
@@ -60,3 +60,93 @@ def format_extended(x: float) -> str:
     if x == NEG_INF:
         return "-inf"
     return repr(x)
+
+
+# ---------------------------------------------------------------------------
+# the scan-and-refine kernel
+
+
+def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
+    """(t, fn(t)) for the largest value of fn on [lo, hi] found by golden
+    section, down to a bracket of width 1e-13 (relative once |t| > 1);
+    unlike parabolic steps it keeps full precision at kinks.  The ends
+    lo and hi are candidates too."""
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > 1e-13 * max(1.0, abs(a), abs(b)):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = fn(d)
+    return max(((c, fc), (d, fd), (lo, fn(lo)), (hi, fn(hi))),
+               key=lambda p: p[1])
+
+
+def scan_max(fn, grid: list[float], vals: list[float], top_k: int) -> float:
+    """Largest value of fn on [grid[0], grid[-1]], given vals = fn(grid).
+
+    The best scanned value is raised by golden refinement over the two
+    cells around each of the top_k grid-local maxima.  Brackets stop
+    1e-12 of the half-span short of the scan's ends, whose values the
+    scan already holds (in the chart, the ends are the saturated tails).
+    """
+    n = len(grid)
+    edge = 1e-12 * 0.5 * (grid[-1] - grid[0])
+    best = max(vals)
+    cand = [i for i in range(n)
+            if (i == 0 or vals[i] >= vals[i - 1])
+            and (i == n - 1 or vals[i] >= vals[i + 1])]
+    cand.sort(key=lambda i: -vals[i])
+    for i in cand[:top_k]:
+        lo = max(grid[max(i - 1, 0)], grid[0] + edge)
+        hi = min(grid[min(i + 1, n - 1)], grid[-1] - edge)
+        if lo < hi:
+            best = max(best, golden_max(fn, lo, hi)[1])
+    return best
+
+
+def scan_root(fn, grid: list[float], vals: list[float],
+              tol: float) -> Optional[float]:
+    """Leftmost root of fn found by one left-to-right pass over the grid
+    scan vals = fn(grid), or None.
+
+    A grid point with |fn| <= tol is a root.  A sign change between
+    neighbours is bisected down to two adjacent floats.  So is a strict
+    grid-local minimum of |fn| between neighbours of its own sign when
+    golden refinement of -sign*fn over its two cells reaches 0: there fn
+    crosses zero inside a cell.
+    """
+    for i, v in enumerate(vals):
+        if abs(v) <= tol:
+            return grid[i]
+        if i == 0:
+            continue
+        lo, vlo = grid[i - 1], vals[i - 1]
+        s = math.copysign(1.0, v)
+        if s * vlo < 0.0:
+            hi, vhi = grid[i], v
+        elif i + 1 < len(vals) and s * vlo > s * v < s * vals[i + 1]:
+            hi, w = golden_max(lambda x: -s * fn(x), lo, grid[i + 1])
+            if w < 0.0:
+                continue
+            vhi = -s * w
+        else:
+            continue
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return lo if abs(vlo) <= abs(vhi) else hi
+            vm = fn(mid)
+            if vm == 0.0:
+                return mid
+            if (vm > 0.0) == (vlo > 0.0):
+                lo, vlo = mid, vm
+            else:
+                hi, vhi = mid, vm
+    return None

@@ -189,13 +189,9 @@ def _cmd_lattice(args) -> int:
     if not args.primitive2 and not args.fixture2:
         raise SystemExit(_usage(f"--op {args.op} needs --primitive2 or "
                                 "--fixture2"))
-    class _Args:
-        pass
-    other = _Args()
-    other.primitive = args.primitive2
-    other.fixture = args.fixture2
-    other.tol, other.budget = args.tol, args.budget
-    g = _build_distribution(other)
+    g = _build_distribution(argparse.Namespace(
+        primitive=args.primitive2, fixture=args.fixture2, tol=args.tol,
+        budget=args.budget))
     if args.op == "compare":
         res = compare(f, g, args.tol)
         _emit(["order", "witness_below", "witness_above"],

@@ -399,28 +399,6 @@ def _triangle_in_primitive(n: int, a_n: float) -> ContinuousFunctionBar:
     return ContinuousFunctionBar(F, 0.0, 0.0)
 
 
-def _char_interval_primitive(n: int) -> ContinuousFunctionBar:
-    return ContinuousFunctionBar(
-        lambda x, n=n: _clamp(x + n, 0.0, 2.0 * n), 0.0, 2.0 * n)
-
-
-def _char_symmetric_primitive(n: int, a_n: float) -> ContinuousFunctionBar:
-    def F(x, a=a_n):
-        if x <= -2.0 or x >= 2.0:
-            return 0.0
-        if x <= -1.0:
-            return -a * (x + 2.0)
-        if x < 1.0:
-            return -a
-        return -a + a * (x - 1.0)
-    return ContinuousFunctionBar(F, 0.0, 0.0)
-
-
-def _power_sequence(params, exponent_key="p", default=3.0):
-    p = float(params.get(exponent_key, default))
-    return lambda n: float(n) ** p
-
-
 def fixtures(name: str, params: Optional[dict] = None) -> DistributionSequence:
     """Named sequence families, exactly the displayed step and ramp
     constructions plus the sine burst."""
@@ -442,10 +420,8 @@ def fixtures(name: str, params: Optional[dict] = None) -> DistributionSequence:
             _triangle_out_primitive(n, a_of(n))),
         "triangle_in": lambda n: Distribution(
             _triangle_in_primitive(n, a_of(n))),
-        "char_interval": lambda n: Distribution(_char_interval_primitive(n)),
-        "char_symmetric": lambda n: Distribution(
-            _char_symmetric_primitive(n, a_of(n))),
     }
     if name not in makers:
-        raise UnknownFixture(f"no sequence family named {name!r}")
+        raise UnknownFixture(f"no sequence family named {name!r}; choose "
+                             f"from {sorted(makers)}")
     return DistributionSequence(makers[name], name, params)

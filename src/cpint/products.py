@@ -15,13 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
 from .bv import BVFunction, normalize_nbv, rs_integral
 from .cfun import (DEFAULT_DEPTH_CAP, DEFAULT_TOL, ContinuousFunctionBar,
                    audit_on_interval, _safe)
-from .chart import INF, NEG_INF, uniform_u_grid, decompactify
+from .chart import (INF, NEG_INF, decompactify, scan_max, scan_root,
+                    uniform_u_grid)
 from .errors import DomainError, NonMonotone, ResidualTooLarge
 from .space import Distribution, norm
 
@@ -150,25 +150,10 @@ def second_mvt_xi(f: Distribution, g: BVFunction,
 
     grid = uniform_u_grid(4097)
     vals = [F.at_u(u) - target for u in grid]
-    xi = None
-    for u, v in zip(grid, vals):
-        if abs(v) <= tol:
-            xi = decompactify(u)
-            break
-    if xi is None:
-        for i in range(len(grid) - 1):
-            if vals[i] * vals[i + 1] < 0.0:
-                lo_u, hi_u = grid[i], grid[i + 1]
-                for _ in range(200):
-                    mid = 0.5 * (lo_u + hi_u)
-                    if (F.at_u(mid) - target) * vals[i] > 0.0:
-                        lo_u = mid
-                    else:
-                        hi_u = mid
-                xi = decompactify(0.5 * (lo_u + hi_u))
-                break
-    if xi is None:
+    u = scan_root(lambda t: F.at_u(t) - target, grid, vals, tol)
+    if u is None:
         raise ResidualTooLarge("no xi found: engine inconsistency")
+    xi = decompactify(u)
     if abs(residual(xi)) > 1e-8 * (1.0 + abs(total)):
         raise ResidualTooLarge(
             f"identity residual {residual(xi):g} at xi={xi!r}")
@@ -209,19 +194,9 @@ def _max_deviation(fn, a: float, x: float, ref: float) -> float:
     """max over [a, x] of |fn - ref|, by sampling plus local refinement."""
     if x == a:
         return 0.0
-    xs = np.linspace(a, x, 2049)
-    vals = np.array([abs(fn(t) - ref) for t in xs])
-    best = float(vals.max())
-    order = np.argsort(vals)[-8:]
-    for i in order:
-        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        if hi <= lo:
-            continue
-        res = optimize.minimize_scalar(lambda t: -abs(fn(t) - ref),
-                                       bounds=(lo, hi), method="bounded",
-                                       options={"xatol": 1e-13})
-        best = max(best, -res.fun)
-    return best
+    xs = [a + (x - a) * i / 2048 for i in range(2049)]
+    vals = [abs(fn(t) - ref) for t in xs]
+    return scan_max(lambda t: abs(fn(t) - ref), xs, vals, 8)
 
 
 def taylor_expand(inp: TaylorInput, x: float,

@@ -17,12 +17,12 @@ from typing import Callable
 
 from .chart import uniform_u_grid
 from .cfun import (DEFAULT_DEPTH_CAP, DEFAULT_TOL, ContinuousFunctionBar,
-                   build_continuous, extremes, sup_norm, _safe)
-from .errors import IntervalEmpty, NoLimitAtInfinity
+                   build_continuous, extremes, sup_norm, _audited,
+                   _tail_limit)
+from .errors import IntervalEmpty
 
 _EQUALITY_TOL = 1e-9
 _EQUALITY_GRID = 1025
-_HAKE_EXPONENTS = range(34, 66)
 
 
 class NormKind(enum.Enum):
@@ -122,24 +122,6 @@ def equal(f: Distribution, g: Distribution,
                for u in uniform_u_grid(_EQUALITY_GRID))
 
 
-def _tail_limit(evaluator, sign: int, tol: float) -> float:
-    """Estimated limit at sign*inf from geometric tail samples, or raise
-    if the samples do not settle."""
-    vals = []
-    for k in _HAKE_EXPONENTS:
-        v = _safe(evaluator, sign * (2.0 ** k - 1.0))
-        if not math.isfinite(v):
-            raise NoLimitAtInfinity(
-                f"tail sample at {sign}*2^{k} is not finite")
-        vals.append(v)
-    mean = sum(vals) / len(vals)
-    spread = max(abs(v - mean) for v in vals)
-    if not spread < tol * (1.0 + abs(mean)):
-        raise NoLimitAtInfinity(
-            f"tail values spread {spread:g} around {mean:g}; no limit")
-    return mean
-
-
 def hake_extend(F_finite: Callable[[float], float],
                 tol: float = DEFAULT_TOL,
                 depth_cap: int = DEFAULT_DEPTH_CAP) -> Distribution:
@@ -148,9 +130,10 @@ def hake_extend(F_finite: Callable[[float], float],
     If both tail limits exist (audited geometrically) the extension lies
     in the space and there is nothing "improper" left to take a limit
     of.  Raises NoLimitAtInfinity when a tail does not settle, e.g. for
-    sin(x).
+    sin(x).  The limits are the means of the tail samples, which have
+    settled onto them, so only the oscillation audit remains.
     """
     limit_pos = _tail_limit(F_finite, +1, tol)
     limit_neg = _tail_limit(F_finite, -1, tol)
-    return try_from_primitive(
-        build_continuous(F_finite, limit_neg, limit_pos, tol, depth_cap))
+    return try_from_primitive(_audited(
+        ContinuousFunctionBar(F_finite, limit_neg, limit_pos), tol, depth_cap))

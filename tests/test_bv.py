@@ -129,3 +129,12 @@ class TestFromCallable:
                           math.cos(7.0))
         for t in np.linspace(0.3, 6.7, 20):
             assert g(float(t)) == pytest.approx(math.cos(t), abs=1e-9)
+
+    def test_cuts_at_extrema(self):
+        g = from_callable(lambda t: math.cos(t), 0.0, 7.0, 1.0,
+                          math.cos(7.0))
+        cuts = [b for b in g.breakpoints if 0.0 < b < 7.0]
+        # cos rounds to -1 or 1 within 1.05e-8 of pi and 2*pi, so no
+        # comparison of values can place a cut closer than that
+        assert cuts == pytest.approx([math.pi, 2.0 * math.pi], abs=2e-8)
+        assert [math.cos(b) for b in cuts] == [-1.0, 1.0]

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cpint.chart import (INF, NEG_INF, compactify, decompactify,
-                         format_extended, parse_extended, uniform_u_grid)
+                         format_extended, parse_extended, scan_root,
+                         uniform_u_grid)
 
 
 class TestCompactify:
@@ -46,6 +47,28 @@ class TestGrid:
         assert len(g) == 1025
         assert g[0] == -1.0 and g[-1] == 1.0
         assert all(a < b for a, b in zip(g, g[1:]))
+
+
+class TestScanRoot:
+    GRID = [i / 10 for i in range(11)]
+
+    def _root(self, fn, tol=1e-10):
+        return scan_root(fn, self.GRID, [fn(t) for t in self.GRID], tol)
+
+    def test_grid_point_within_tol(self):
+        assert self._root(lambda t: t - 0.5 + 1e-12) == 0.5
+
+    def test_earlier_of_two_sign_changes(self):
+        root = self._root(lambda t: (t - 0.33) * (t - 0.77))
+        assert root == pytest.approx(0.33, abs=1e-15)
+
+    def test_crossing_inside_one_cell(self):
+        # positive only on (0.42, 0.44): every grid value is negative
+        root = self._root(lambda t: 1e-4 - (t - 0.43) ** 2)
+        assert root == pytest.approx(0.42, abs=1e-15)
+
+    def test_no_root_when_sign_is_kept(self):
+        assert self._root(lambda t: 1e-4 + (t - 0.43) ** 2) is None
 
 
 class TestExtendedParsing:

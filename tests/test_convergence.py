@@ -17,8 +17,9 @@ from cpint.space import integral, zero
 
 class TestSequenceFamilies:
     def test_unknown_name_rejected(self):
-        with pytest.raises(UnknownFixture):
-            fixtures("no_such_family")
+        for name in ("no_such_family", "char_interval"):
+            with pytest.raises(UnknownFixture, match="traveling_block"):
+                fixtures(name)
 
     def test_traveling_block_mass_one(self):
         seq = fixtures("traveling_block")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from cpint.bv import constant, indicator, monotone
+from cpint.bv import constant, from_knots, indicator, monotone
+from cpint.cfun import ContinuousFunctionBar
 from cpint.chart import INF, NEG_INF
 from cpint.errors import DomainError, NonMonotone
 from cpint.fixtures import (arctan_distribution, cantor_function,
@@ -15,7 +16,7 @@ from cpint.fixtures import (arctan_distribution, cantor_function,
 from cpint.products import (TaylorInput, change_of_variables, holder_bound,
                             integral_product, multiply_bv, pair_with_test,
                             second_mvt_xi, taylor_expand)
-from cpint.space import integral
+from cpint.space import Distribution, integral
 
 
 class TestIntegralProduct:
@@ -115,6 +116,20 @@ class TestSecondMvt:
         resid = abs(g.value_neg_inf * F(xi)
                     + g.value_pos_inf * (F.limit_pos - F(xi)) - total)
         assert resid <= 1e-8 * (1.0 + abs(total))
+
+    def test_leftmost_xi(self):
+        # F - target is 2.6e-12 at x = -2.26 and at the ramp's foot x = 3
+        f = gaussian_distribution(0.37)
+        xi = second_mvt_xi(f, from_knots([3.0, 3.0 + 1e-9], [0.0, 1.0]))
+        assert xi == pytest.approx(-2.26, abs=1e-6)
+
+    def test_root_inside_one_grid_cell(self):
+        # F exceeds the target F(a) only on (a, 3.44e-4), narrower than
+        # the scan's cells there
+        f = Distribution(ContinuousFunctionBar(
+            lambda x: math.exp(-(x - 2.44e-4) ** 2), 0.0, 0.0))
+        xi = second_mvt_xi(f, indicator(1.44e-4, INF))
+        assert xi == pytest.approx(1.44e-4, abs=1e-12)
 
     def test_constant_weight_convention(self):
         xi = second_mvt_xi(gaussian_distribution(), constant(2.0))
