@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from cpint.bv import (BVFunction, blocks, constant, from_callable, from_knots,
                       rs_integral, variation)
 from cpint.cfun import ContinuousFunctionBar
 from cpint.chart import INF, NEG_INF
-from cpint.errors import IntervalEmpty, MalformedPieces
+from cpint.errors import BudgetExceeded, IntervalEmpty, MalformedPieces
+from cpint.transforms import poisson_kernel_bv
 
 
 class TestVariation:
@@ -117,6 +119,58 @@ class TestRsIntegral:
         with pytest.raises(IntervalEmpty):
             rs_integral(self._arctan(), heaviside(), 1.0, 0.0)
 
+    def test_oscillating_primitive_against_mpmath(self):
+        # x^2 cos(x^-2) oscillates without bound near 0
+        def F(x):
+            if x <= 0.0:
+                return 0.0
+            if x > 1.0:
+                return math.cos(1.0)
+            return x * x * math.cos(x ** -2)
+
+        g = from_knots([0.0, 1.0], [0.0, 1.0])
+        got = rs_integral(ContinuousFunctionBar(F, 0.0, math.cos(1.0)), g,
+                          NEG_INF, INF)
+        assert got == pytest.approx(-0.0103903289258551575, abs=1e-10)
+
+    def test_square_root_cusp(self):
+        F = ContinuousFunctionBar(
+            lambda x: math.sqrt(x - 0.2) if x > 0.2 else 0.0, 0.0, 0.0)
+        g = from_knots([0.0, 1.0], [0.0, 1.0])
+        got = rs_integral(F, g, NEG_INF, 1.0)
+        assert got == pytest.approx(2.0 / 3.0 * 0.8 ** 1.5, abs=1e-10)
+
+    def test_kinked_primitive_within_tolerance(self):
+        # the ramp primitive of the indicator of [-1, 1] has kinks at
+        # +-1, where the difference of two nested rules can vanish by
+        # coincidence: alone it gave errors of 5.7e-10 and 4.8e-10 here
+        F = ContinuousFunctionBar(lambda x: max(0.0, min(2.0, x + 1.0)),
+                                  0.0, 2.0)
+        for x, y in [(-3.2427, 0.2276), (-3.9577, 0.5072)]:
+            exact = -(math.atan((x + 1.0) / y)
+                      - math.atan((x - 1.0) / y)) / math.pi
+            got = rs_integral(F, poisson_kernel_bv(x, y), NEG_INF, INF)
+            assert got == pytest.approx(exact, abs=1e-10)
+
+    def test_nan_from_evaluator_raises(self):
+        # math.sqrt raises below 0.2, which the evaluator wrapper turns
+        # into NaN; that must not come back as the integral
+        F = ContinuousFunctionBar(lambda x: math.sqrt(x - 0.2), 0.0, 0.0)
+        g = from_knots([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(BudgetExceeded, match="non-finite"):
+            rs_integral(F, g, NEG_INF, 1.0)
+
+    def test_depth_cap_names_the_panel(self):
+        # a jump in F at 0.3 cannot be resolved to 1e-16 by bisection
+        F = ContinuousFunctionBar(lambda x: 1.0 if x > 0.3 else 0.0,
+                                  0.0, 1.0)
+        g = from_knots([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(BudgetExceeded, match="panels") as info:
+            rs_integral(F, g, NEG_INF, INF, tol=1e-16)
+        lo, hi = (float(v) for v in re.search(
+            r"x in \[([^,]+), ([^\]]+)\]", str(info.value)).groups())
+        assert lo <= 0.3 <= hi
+
 
 class TestFromCallable:
     def test_splits_at_extrema(self):
@@ -138,3 +192,12 @@ class TestFromCallable:
         # comparison of values can place a cut closer than that
         assert cuts == pytest.approx([math.pi, 2.0 * math.pi], abs=2e-8)
         assert [math.cos(b) for b in cuts] == [-1.0, 1.0]
+
+    def test_jump_at_finite_hi_counted(self):
+        g = from_callable(lambda t: math.cos(t), 0.0, 7.0, 1.0,
+                          math.cos(7.0), outside_hi=5.0)
+        assert g.breakpoints.count(7.0) == 1
+        # 4 from the two half swings, then cos 7 back up to 1, then the
+        # jump from cos 7 to 5
+        assert variation(g) == pytest.approx(
+            4.0 + (1.0 - math.cos(7.0)) + (5.0 - math.cos(7.0)), rel=1e-12)
