@@ -67,7 +67,7 @@ def _all_fixtures() -> list[tuple[str, Distribution]]:
 # criteria
 
 
-def _criterion_1(tol: float, budget: int) -> tuple[bool, str]:
+def _criterion_1(tol: float) -> tuple[bool, str]:
     f = quadratic_osc_distribution()
     got = integral(f, 0.0, 1.0)
     err = abs(got - _COS1)
@@ -78,32 +78,31 @@ def _criterion_1(tol: float, budget: int) -> tuple[bool, str]:
                 f"lower bound {res.value:.3g}")
 
 
-def _criterion_2(tol: float, budget: int) -> tuple[bool, str]:
+def _criterion_2(tol: float) -> tuple[bool, str]:
     t0 = time.perf_counter()
-    h = hake_from_integrand(lambda x: math.sin(x * x), tol=tol,
-                            depth_cap=budget)
+    h = hake_from_integrand(lambda x: math.sin(x * x), tol=tol)
     dt = time.perf_counter() - t0
     err = abs(h.total - _FRESNEL)
     ok = err <= 1e-6 and dt < 10.0
     return ok, f"err {err:.2e} in {dt:.2f}s ({h.lobes_used} lobes)"
 
 
-def _criterion_3(tol: float, budget: int) -> tuple[bool, str]:
+def _criterion_3(tol: float) -> tuple[bool, str]:
     worst = 0.0
     for n in range(1, 9):
         f = sequence_fixtures("sine_burst")(n)
-        worst = max(worst, abs(norm(f, tol=tol) - 2.0 * n))
+        worst = max(worst, abs(norm(f) - 2.0 * n))
     for p in (1.0, 2.0, 3.0):
         for n in range(1, 5):
             a_n = float(n) ** p
             fo = sequence_fixtures("triangle_out", {"a_power": p})(n)
             fi = sequence_fixtures("triangle_in", {"a_power": p})(n)
-            worst = max(worst, abs(norm(fo, tol=tol) - a_n))
-            worst = max(worst, abs(norm(fi, tol=tol) - a_n / n))
+            worst = max(worst, abs(norm(fo) - a_n))
+            worst = max(worst, abs(norm(fi) - a_n / n))
     return worst <= 1e-9, f"worst norm error {worst:.2e}"
 
 
-def _criterion_4(tol: float, budget: int) -> tuple[bool, str]:
+def _criterion_4(tol: float) -> tuple[bool, str]:
     rng = np.random.default_rng(_seed())
     violations = 0
     slack = 1e-9
@@ -111,13 +110,13 @@ def _criterion_4(tol: float, budget: int) -> tuple[bool, str]:
         f = random_distribution(rng)
         g = random_bv(rng)
         got = abs(integral_product(f, g, tol))
-        b = holder_bound(f, g, tol)
+        b = holder_bound(f, g)
         if got > b.jump_form + slack or got > b.bv_norm_form + slack:
             violations += 1
     return violations == 0, f"{violations} violations in 100 pairs"
 
 
-def _criterion_5(tol: float, budget: int) -> tuple[bool, str]:
+def _criterion_5(tol: float) -> tuple[bool, str]:
     notes = []
     ok = True
 
@@ -132,7 +131,7 @@ def _criterion_5(tol: float, budget: int) -> tuple[bool, str]:
 
     signed = sequence_fixtures("signed_blocks")
     wb2 = convergence.weak_bv_report(signed, zero(), n_max=32, tol=tol)
-    dist = convergence.strong_distance(signed, zero(), 32, tol)
+    dist = convergence.strong_distance(signed, zero(), 32)
     c_ok = wb2.verdict is Verdict.HOLDS and abs(dist - 1.0) <= 1e-9
     ok &= c_ok
     notes.append(f"signed wBV={wb2.verdict.value} strong dist {dist:.3g}")
@@ -158,7 +157,7 @@ def _criterion_5(tol: float, budget: int) -> tuple[bool, str]:
     return bool(ok), "; ".join(notes)
 
 
-def _criterion_6(tol: float, budget: int) -> tuple[bool, str]:
+def _criterion_6(tol: float) -> tuple[bool, str]:
     rng = np.random.default_rng(_seed() + 1)
     bad_axioms = 0
     worst_norm = 0.0
@@ -187,7 +186,7 @@ def _criterion_6(tol: float, budget: int) -> tuple[bool, str]:
             bad_axioms += 1
         _, _, f_abs = parts(f)
         worst_norm = max(worst_norm,
-                         abs(norm(f_abs, tol=tol) - norm(f, tol=tol)))
+                         abs(norm(f_abs) - norm(f)))
     bad_pointwise = 0
     for _, f in _all_fixtures():
         _, _, f_abs = parts(f)
@@ -201,22 +200,22 @@ def _criterion_6(tol: float, budget: int) -> tuple[bool, str]:
                 f"{worst_norm:.2e}; pointwise failures {bad_pointwise}")
 
 
-def _criterion_7(tol: float, budget: int) -> tuple[bool, str]:
+def _criterion_7(tol: float) -> tuple[bool, str]:
     ok = True
     worst = 0.0
     for name, f in _all_fixtures():
-        a = norm(f, NormKind.ALEXIEWICZ, tol)
-        s = norm(f, NormKind.INTERVAL_SUP, tol)
-        d = norm(f, NormKind.DUAL_BV_LOWER, tol)
+        a = norm(f, NormKind.ALEXIEWICZ)
+        s = norm(f, NormKind.INTERVAL_SUP)
+        d = norm(f, NormKind.DUAL_BV_LOWER)
         if not (a - 1e-12 <= s <= 2.0 * a + 1e-12 and d <= a + 1e-12):
             ok = False
         for t in (-10.0, -1.0, -0.1, 0.1, 1.0, 10.0):
-            worst = max(worst, abs(norm(translate(f, t), tol=tol) - a))
+            worst = max(worst, abs(norm(translate(f, t)) - a))
     ok = ok and worst <= 1e-9
     return ok, f"sandwich holds on all fixtures; translation err {worst:.2e}"
 
 
-def _criterion_8(tol: float, budget: int) -> tuple[bool, str]:
+def _criterion_8(tol: float) -> tuple[bool, str]:
     rng = np.random.default_rng(_seed() + 2)
     bad = 0
     for _ in range(100):
@@ -229,7 +228,7 @@ def _criterion_8(tol: float, budget: int) -> tuple[bool, str]:
     return bad == 0, f"{bad} residual failures in 100 monotone cases"
 
 
-def _criterion_9(tol: float, budget: int) -> tuple[bool, str]:
+def _criterion_9(tol: float) -> tuple[bool, str]:
     worst = 0.0
     for d in range(1, 7):
         for n in range(0, d):
@@ -269,7 +268,7 @@ def _criterion_9(tol: float, budget: int) -> tuple[bool, str]:
                 f"err {abs(r0 - ftc):.2e}")
 
 
-def _criterion_10(tol: float, budget: int) -> tuple[bool, str]:
+def _criterion_10(tol: float) -> tuple[bool, str]:
     f = _indicator_boundary()
     worst = 0.0
     for x in np.linspace(-3.0, 3.0, 10):
@@ -295,7 +294,7 @@ def _criterion_10(tol: float, budget: int) -> tuple[bool, str]:
                 + "/".join(f"{g:.3g}" for g in gaps))
 
 
-def _criterion_11(tol: float, budget: int) -> tuple[bool, str]:
+def _criterion_11(tol: float) -> tuple[bool, str]:
     def Fe(x):
         return 0.0 if x <= 0.0 else -math.expm1(-x)
 
@@ -332,14 +331,13 @@ def _criterion_11(tol: float, budget: int) -> tuple[bool, str]:
                 f"{zero_ok}; growth trend {'ok' if trend_ok else 'BROKEN'}")
 
 
-def _criterion_12(tol: float, budget: int) -> tuple[bool, str]:
+def _criterion_12(tol: float) -> tuple[bool, str]:
     five = [arctan_distribution(), gaussian_distribution(),
             signed_bump_distribution(), si_distribution(),
             quadratic_osc_distribution()]
     exact = 0
     for f in five:
-        got = change_of_variables(f, cantor_function, 0.0, 1.0, tol=tol,
-                                  depth_cap=budget)
+        got = change_of_variables(f, cantor_function, 0.0, 1.0, tol=tol)
         F = f.primitive
         if got == F(1.0) - F(0.0):
             exact += 1
@@ -347,7 +345,7 @@ def _criterion_12(tol: float, budget: int) -> tuple[bool, str]:
                        f"singular substitution"
 
 
-_CRITERIA: list[tuple[str, Callable[[float, int], tuple[bool, str]]]] = [
+_CRITERIA: list[tuple[str, Callable[[float], tuple[bool, str]]]] = [
     ("nonabsolute-ftc", _criterion_1),
     ("hake-fresnel", _criterion_2),
     ("norm-table", _criterion_3),
@@ -363,19 +361,18 @@ _CRITERIA: list[tuple[str, Callable[[float, int], tuple[bool, str]]]] = [
 ]
 
 
-def run_criterion(index: int, tol: float = 1e-10,
-                  budget: int = 40) -> CriterionResult:
+def run_criterion(index: int, tol: float = 1e-10) -> CriterionResult:
     """Run a single criterion (1-based index)."""
     name, fn = _CRITERIA[index - 1]
     t0 = time.perf_counter()
     try:
-        passed, detail = fn(tol, budget)
+        passed, detail = fn(tol)
     except Exception as exc:  # a crashing criterion is a failing criterion
         passed, detail = False, f"{type(exc).__name__}: {exc}"
     return CriterionResult(index, name, passed, detail,
                            time.perf_counter() - t0)
 
 
-def run_all(tol: float = 1e-10, budget: int = 40) -> list[CriterionResult]:
-    return [run_criterion(i, tol, budget)
+def run_all(tol: float = 1e-10) -> list[CriterionResult]:
+    return [run_criterion(i, tol)
             for i in range(1, len(_CRITERIA) + 1)]

@@ -23,7 +23,6 @@ from .chart import INF, NEG_INF, decompactify, scan_max, uniform_u_grid
 from .errors import BudgetExceeded, NoLimitAtInfinity, NotContinuous
 
 DEFAULT_TOL = 1e-10
-DEFAULT_DEPTH_CAP = 40
 
 _AUDIT_GRID = 1025          # initial uniform points in u
 _INTERVAL_GRID = 257        # initial uniform points of audit_on_interval
@@ -32,6 +31,7 @@ _EXTREMES_REFINE = 32       # local-maximum cells refined per sign
 _TAIL_EXPONENTS = range(34, 66)   # x = 2**k - 1 approaching infinity
 _STALL_LIMIT = 8            # consecutive non-shrinking refinements => jump
 _STALL_RATIO = 0.95         # "failed to shrink" threshold per refinement
+_DEPTH_CAP = 40             # bisections of one audit cell
 
 
 def _safe(evaluator: Callable[[float], float], x: float) -> float:
@@ -122,8 +122,7 @@ def _tail_limit(evaluator, sign: int, tol: float,
     return limit
 
 
-def _audit_cell(feval_u, ua, va, ub, vb, tol, depth_cap,
-                coord=decompactify) -> None:
+def _audit_cell(feval_u, ua, va, ub, vb, tol, coord=decompactify) -> None:
     """Worst-child dyadic descent; a jump keeps its oscillation under
     refinement and trips the stall counter.  `coord` maps the audit
     coordinate back to x for error reporting."""
@@ -131,7 +130,7 @@ def _audit_cell(feval_u, ua, va, ub, vb, tol, depth_cap,
     prev_osc = None
     osc = 0.0
     um = 0.5 * (ua + ub)
-    for _ in range(depth_cap):
+    for _ in range(_DEPTH_CAP):
         um = 0.5 * (ua + ub)
         vm = feval_u(um)
         if math.isnan(vm) or math.isinf(vm):
@@ -160,7 +159,7 @@ def _audit_cell(feval_u, ua, va, ub, vb, tol, depth_cap,
             where=coord(um))
 
 
-def _audit_grid(feval, grid, tol, depth_cap, coord=decompactify) -> None:
+def _audit_grid(feval, grid, tol, coord=decompactify) -> None:
     """Oscillation audit: evaluate the grid, then descend into each cell."""
     vals = [feval(t) for t in grid]
     for t, v in zip(grid, vals):
@@ -169,19 +168,17 @@ def _audit_grid(feval, grid, tol, depth_cap, coord=decompactify) -> None:
                                 where=coord(t))
     for i in range(len(grid) - 1):
         _audit_cell(feval, grid[i], vals[i], grid[i + 1], vals[i + 1],
-                    tol, depth_cap, coord)
+                    tol, coord)
 
 
-def _audited(F: "ContinuousFunctionBar", tol: float,
-             depth_cap: int) -> "ContinuousFunctionBar":
+def _audited(F: "ContinuousFunctionBar", tol: float) -> "ContinuousFunctionBar":
     """F, once the oscillation audit over the whole chart has passed."""
-    _audit_grid(F.at_u, uniform_u_grid(_AUDIT_GRID), tol, depth_cap)
+    _audit_grid(F.at_u, uniform_u_grid(_AUDIT_GRID), tol)
     return F
 
 
 def audit_on_interval(fn: Callable[[float], float], a: float, b: float,
-                      tol: float = DEFAULT_TOL,
-                      depth_cap: int = DEFAULT_DEPTH_CAP) -> None:
+                      tol: float = DEFAULT_TOL) -> None:
     """Oscillation audit of fn on the finite interval [a, b].
 
     Raises NotContinuous on a detected jump or undefined value; returns
@@ -191,14 +188,12 @@ def audit_on_interval(fn: Callable[[float], float], a: float, b: float,
         raise ValueError("audit interval must be finite with a < b")
     step = (b - a) / (_INTERVAL_GRID - 1)
     xs = [a + i * step for i in range(_INTERVAL_GRID)]
-    _audit_grid(lambda t: _safe(fn, t), xs, tol, depth_cap,
-                coord=lambda t: t)
+    _audit_grid(lambda t: _safe(fn, t), xs, tol, coord=lambda t: t)
 
 
 def build_continuous(evaluator: Callable[[float], float],
                      limit_neg: float, limit_pos: float,
-                     tol: float = DEFAULT_TOL,
-                     depth_cap: int = DEFAULT_DEPTH_CAP) -> ContinuousFunctionBar:
+                     tol: float = DEFAULT_TOL) -> ContinuousFunctionBar:
     """Audited constructor for C0 of the extended real line.
 
     Raises NoLimitAtInfinity if the tails do not settle onto the claimed
@@ -208,12 +203,10 @@ def build_continuous(evaluator: Callable[[float], float],
         raise NoLimitAtInfinity("claimed limits must be finite reals")
     _tail_limit(evaluator, +1, tol, limit_pos)
     _tail_limit(evaluator, -1, tol, limit_neg)
-    return _audited(ContinuousFunctionBar(evaluator, limit_neg, limit_pos),
-                    tol, depth_cap)
+    return _audited(ContinuousFunctionBar(evaluator, limit_neg, limit_pos), tol)
 
 
-def extremes(F: ContinuousFunctionBar,
-             tol: float = DEFAULT_TOL) -> tuple[float, float]:
+def extremes(F: ContinuousFunctionBar) -> tuple[float, float]:
     """(sup, inf) of F over the extended real line.
 
     Grid scan in the compact chart, then golden refinement of the best
@@ -230,9 +223,9 @@ def extremes(F: ContinuousFunctionBar,
     return sup, inf
 
 
-def sup_norm(F: ContinuousFunctionBar, tol: float = DEFAULT_TOL) -> float:
+def sup_norm(F: ContinuousFunctionBar) -> float:
     """max over the extended real line of |F|, endpoint limits included."""
-    hi, lo = extremes(F, tol)
+    hi, lo = extremes(F)
     return max(abs(hi), abs(lo))
 
 
@@ -248,13 +241,6 @@ def _bump_profile(s: float) -> float:
     return math.exp(1.0 / (a - 1.0))
 
 
-def _bump_profile_deriv(s: float) -> float:
-    a = abs(s)
-    if a >= 1.0 or s == 0.0:
-        return 0.0
-    return _bump_profile(s) * (-math.copysign(1.0, s) / (a - 1.0) ** 2)
-
-
 # mass of the unit profile, computed once
 _PROFILE_MASS = 2.0 * integrate.quad(_bump_profile, 0.0, 1.0)[0]
 
@@ -267,8 +253,6 @@ class TestFunction:
     width: float
     amplitude: float = 1.0
     evaluator: Callable[[float], float] = field(init=False, repr=False, default=None)
-    derivative_evaluator: Callable[[float], float] = field(init=False, repr=False,
-                                                           default=None)
 
     def __post_init__(self):
         if self.width <= 0:
@@ -276,8 +260,6 @@ class TestFunction:
         c, w, a = self.center, self.width, self.amplitude
         object.__setattr__(self, "evaluator",
                            lambda x: a * _bump_profile((x - c) / w))
-        object.__setattr__(self, "derivative_evaluator",
-                           lambda x: (a / w) * _bump_profile_deriv((x - c) / w))
 
     def __call__(self, x: float) -> float:
         return self.evaluator(x)

@@ -61,7 +61,7 @@ def _build_distribution(args) -> Distribution:
         raise SystemExit(_usage("one of --primitive or --fixture is "
                                 "required"))
     F = compile_expr(args.primitive)
-    return hake_extend(F, tol=args.tol, depth_cap=args.budget)
+    return hake_extend(F, tol=args.tol)
 
 
 def _parse_bv(spec: str) -> BVFunction:
@@ -111,8 +111,7 @@ def _cmd_integrate(args) -> int:
             raise SystemExit(_usage("--hake needs --primitive-of EXPR"))
         integrand = compile_expr(args.primitive_of)
         start = a if math.isfinite(a) else 0.0
-        h = hake_from_integrand(integrand, a=start, tol=args.tol,
-                                depth_cap=args.budget)
+        h = hake_from_integrand(integrand, a=start, tol=args.tol)
         f = h.distribution
         sys.stderr.write(f"hake: {h.lobes_used} lobes, cutoff "
                          f"{h.cutoff:g}, defect bound {h.defect_bound:g}\n")
@@ -124,8 +123,7 @@ def _cmd_integrate(args) -> int:
         from .space import distribution_from_evaluator
         Fa = F(a)
         f = distribution_from_evaluator(
-            lambda x: F(min(max(x, a), b)) - Fa, 0.0, F(b) - Fa,
-            tol=args.tol, depth_cap=args.budget)
+            lambda x: F(min(max(x, a), b)) - Fa, 0.0, F(b) - Fa, tol=args.tol)
     else:
         f = _build_distribution(args)
     value = integral(f, a, b)
@@ -141,7 +139,7 @@ def _cmd_norm(args) -> int:
               [["abs", res.divergent, res.value, res.levels_used]])
         return 0
     kind = NormKind(args.kind)
-    _emit(["kind", "value"], [[kind.value, norm(f, kind, args.tol)]])
+    _emit(["kind", "value"], [[kind.value, norm(f, kind)]])
     return 0
 
 
@@ -158,8 +156,7 @@ def _cmd_cov(args) -> int:
     G = compile_expr(args.g)
     a = parse_extended(args.from_)
     b = parse_extended(args.to)
-    value = change_of_variables(f, G, a, b, tol=args.tol,
-                                depth_cap=args.budget)
+    value = change_of_variables(f, G, a, b, tol=args.tol)
     _emit(["a", "b", "value"], [[a, b, value]])
     return 0
 
@@ -181,7 +178,7 @@ def _cmd_lattice(args) -> int:
     f = _build_distribution(args)
     if args.op == "parts":
         f_plus, f_minus, f_abs = parts(f)
-        rows = [[label, norm(p, tol=args.tol), p.total]
+        rows = [[label, norm(p), p.total]
                 for label, p in (("plus", f_plus), ("minus", f_minus),
                                  ("abs", f_abs))]
         _emit(["component", "norm", "total"], rows)
@@ -190,8 +187,7 @@ def _cmd_lattice(args) -> int:
         raise SystemExit(_usage(f"--op {args.op} needs --primitive2 or "
                                 "--fixture2"))
     g = _build_distribution(argparse.Namespace(
-        primitive=args.primitive2, fixture=args.fixture2, tol=args.tol,
-        budget=args.budget))
+        primitive=args.primitive2, fixture=args.fixture2, tol=args.tol))
     if args.op == "compare":
         res = compare(f, g, args.tol)
         _emit(["order", "witness_below", "witness_above"],
@@ -226,7 +222,7 @@ def _cmd_converge(args) -> int:
         elif mode == "strong":
             ns = [n for n in (1, 2, 4, 8, 16, 32) if n <= args.n_max]
             for n in ns:
-                d = convergence.strong_distance(seq, zero(), n, args.tol)
+                d = convergence.strong_distance(seq, zero(), n)
                 rows.append(["strong", "distance", n, d, ""])
             continue
         elif mode == "integral":
@@ -266,7 +262,7 @@ def _cmd_laplace(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = acceptance.run_all(tol=args.tol, budget=args.budget)
+    results = acceptance.run_all(tol=args.tol)
     rows = []
     for r in results:
         line = (f"{'PASS' if r.passed else 'FAIL'} {r.index:02d} "
@@ -296,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="continuous primitive integral calculator")
     parser.add_argument("--tol", type=float, default=1e-10,
                         help="refinement tolerance (default 1e-10)")
-    parser.add_argument("--budget", type=int, default=40,
-                        help="refinement depth cap (default 40)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("integrate", help="integral over [a, b]")

@@ -89,9 +89,9 @@ def _combine(verdicts) -> Verdict:
 
 
 def strong_distance(seq: DistributionSequence, candidate: Distribution,
-                    n: int, tol: float = DEFAULT_TOL) -> float:
+                    n: int) -> float:
     """Alexiewicz distance between the n-th element and the candidate."""
-    return norm(linear_combine(-1.0, candidate, seq(n)), tol=tol)
+    return norm(linear_combine(-1.0, candidate, seq(n)))
 
 
 def default_test_battery() -> list[TestFunction]:
@@ -198,8 +198,7 @@ def _qu_holds_at(seq_prims, F_limit, x: float, eps: float, N: int,
 def quasi_uniform_check(seq: DistributionSequence,
                         F_limit: Callable[[float], float],
                         points: Sequence[float],
-                        n_max: int = DEFAULT_N_MAX,
-                        tol: float = DEFAULT_TOL) -> ConvergenceReport:
+                        n_max: int = DEFAULT_N_MAX) -> ConvergenceReport:
     """Quasi-uniform convergence of the primitives to F_limit.
 
     For every probe point, every epsilon on a fixed ladder and every N,

@@ -21,6 +21,7 @@ from .space import Distribution
 
 _COMPARE_GRID = 4097
 _ABS_START_LEVEL = 4
+_ABS_MAX_LEVEL = 18
 _ABS_DIVERGENT_RUN = 8
 _ABS_SHRINK_RATIO = 0.8
 
@@ -97,8 +98,7 @@ class AbsNormResult:
     levels_used: int
 
 
-def abs_norm(f: Distribution, tol: float = DEFAULT_TOL,
-             budget: int = 18) -> AbsNormResult:
+def abs_norm(f: Distribution, tol: float = DEFAULT_TOL) -> AbsNormResult:
     """Variation of the primitive by dyadic partition sums in the chart.
 
     The sums increase monotonically under refinement.  They either
@@ -115,7 +115,7 @@ def abs_norm(f: Distribution, tol: float = DEFAULT_TOL,
     growing_run = 0
     prev_inc = None
     settled = 0
-    while level < budget:
+    while level < _ABS_MAX_LEVEL:
         level += 1
         new_us = []
         new_vals = []
@@ -144,9 +144,9 @@ def abs_norm(f: Distribution, tol: float = DEFAULT_TOL,
         prev_inc = inc
         prev_sum = cur
     if growing_run >= 2:
-        # still increasing at the budget: divergence evidence with the
+        # still increasing at the last level: divergence evidence with the
         # last sum as a certified lower bound
         return AbsNormResult(True, prev_sum, level)
     raise BudgetExceeded(
-        f"variation sums still shrinking but unsettled at level {budget}, "
+        f"variation sums still shrinking but unsettled at level {level}, "
         f"current sum {prev_sum:g}")

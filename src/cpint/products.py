@@ -15,10 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from scipy import integrate
-
-from .bv import BVFunction, normalize_nbv, rs_integral
-from .cfun import (DEFAULT_DEPTH_CAP, DEFAULT_TOL, ContinuousFunctionBar,
+from .bv import BVFunction, Piece, normalize_nbv, rs_integral
+from .cfun import (DEFAULT_TOL, ContinuousFunctionBar, TestFunction,
                    audit_on_interval, _safe)
 from .chart import (INF, NEG_INF, decompactify, scan_max, scan_root,
                     uniform_u_grid)
@@ -57,16 +55,20 @@ def integral_product(f: Distribution, g: BVFunction,
     return F.limit_pos * g.value_pos_inf - rs_integral(F, g, NEG_INF, INF, tol)
 
 
-def pair_with_test(f: Distribution, phi, tol: float = DEFAULT_TOL) -> float:
-    """Action of f on a smooth test function: -int F phi'.
+def pair_with_test(f: Distribution, phi: TestFunction,
+                   tol: float = DEFAULT_TOL) -> float:
+    """Action of f on a smooth test function: -int F phi' = -int F dphi.
 
-    phi must expose support and derivative_evaluator (a TestFunction).
+    The bump is monotone on each side of its center, so as a BVFunction
+    it has four pieces: 0, rising to phi(center), falling, 0.
     """
     lo, hi = phi.support
-    F = f.primitive
-    val, _ = integrate.quad(lambda x: F(x) * phi.derivative_evaluator(x),
-                            lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
-    return -val
+    c, top = phi.center, phi(phi.center)
+    g = BVFunction([Piece(NEG_INF, lo, lambda x: 0.0, 0.0, 0.0),
+                    Piece(lo, c, phi.evaluator, 0.0, top),
+                    Piece(c, hi, phi.evaluator, top, 0.0),
+                    Piece(hi, INF, lambda x: 0.0, 0.0, 0.0)])
+    return integral_product(f, g, tol)
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,9 @@ class HolderBound:
     bv_norm_form: float   # 2 ||f|| (|g(-inf)| + V g)
 
 
-def holder_bound(f: Distribution, g: BVFunction,
-                 tol: float = DEFAULT_TOL) -> HolderBound:
+def holder_bound(f: Distribution, g: BVFunction) -> HolderBound:
     gt = normalize_nbv(g)
-    nf = norm(f, tol=tol)
+    nf = norm(f)
     total = abs(f.total)
     first = total * gt.inf_abs() + 2.0 * nf * gt.variation()
     second = 2.0 * nf * g.bv_norm()
@@ -91,8 +92,7 @@ def change_of_variables(f: Distribution, G: Callable[[float], float],
                         a: float, b: float,
                         G_a: Optional[float] = None,
                         G_b: Optional[float] = None,
-                        tol: float = DEFAULT_TOL,
-                        depth_cap: int = DEFAULT_DEPTH_CAP) -> float:
+                        tol: float = DEFAULT_TOL) -> float:
     """Integral of (f o G) G' over [a, b], i.e. of f over [G(a), G(b)].
 
     G only needs to be continuous; no monotonicity or differentiability
@@ -117,7 +117,7 @@ def change_of_variables(f: Distribution, G: Callable[[float], float],
     # shrink away from endpoints where G may be unbounded
     span = hi - lo
     audit_on_interval(lambda t: F(_safe(G, t)), lo + 1e-9 * span,
-                      hi - 1e-9 * span, tol, depth_cap)
+                      hi - 1e-9 * span, tol)
     return F(gb) - F(ga)
 
 
@@ -206,6 +206,8 @@ def taylor_expand(inp: TaylorInput, x: float,
     The remainder needs f^(n+1), which exists only distributionally; one
     integration by parts expresses it through f^(n) alone:
     R_n(x) = [-f^(n)(a) (x-a)^n + n int_a^x f^(n)(t) (x-t)^(n-1) dt] / n!.
+    The n int term is the Stieltjes integral int_a^x f^(n) dg for
+    g(t) = -(x-t)^n, which rises monotonically on [a, x].
     """
     n, a = inp.n, inp.a
     if not (a <= x <= inp.b):
@@ -218,10 +220,14 @@ def taylor_expand(inp: TaylorInput, x: float,
     elif x == a:
         rem = 0.0
     else:
-        kernel_int, _ = integrate.quad(
-            lambda t: fn(t) * (x - t) ** (n - 1), a, x,
-            epsabs=1e-14, epsrel=1e-12, limit=200)
-        rem = (-fn(a) * (x - a) ** n + n * kernel_int) / math.factorial(n)
+        g0 = -(x - a) ** n
+        g = BVFunction([Piece(NEG_INF, a, lambda t: g0, g0, g0),
+                        Piece(a, x, lambda t: -(x - t) ** n, g0, 0.0),
+                        Piece(x, INF, lambda t: 0.0, 0.0, 0.0)])
+        # the limits at +-inf are never read on [a, x]
+        F = ContinuousFunctionBar(fn, 0.0, 0.0)
+        kernel_int = rs_integral(F, g, a, x, tol)
+        rem = (-fn(a) * (x - a) ** n + kernel_int) / math.factorial(n)
 
     dev_x = _max_deviation(fn, a, x, fn(a))
     dev_b = _max_deviation(fn, a, inp.b, fn(a))

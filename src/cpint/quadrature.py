@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .cfun import DEFAULT_DEPTH_CAP, DEFAULT_TOL
+from .cfun import DEFAULT_TOL
 from .errors import NoLimitAtInfinity
 from .space import Distribution, distribution_from_evaluator
 
@@ -27,6 +27,7 @@ _MAX_LOBES = 20000
 _SCAN_WINDOW = 60.0       # no sign change within this => not oscillatory
 _ACCEL_TAIL = 40          # partial sums fed to the epsilon algorithm
 _MODEL_DECAY = 3          # tail model exponent past the lobe cutoff
+_DEFECT_TARGET = 1e-2     # lobes are summed exactly down to this area
 
 
 def gauss_segment(fn, a: float, b: float) -> float:
@@ -107,14 +108,13 @@ class HakeResult:
     defect_bound: float   # sup distance between stored and true primitive
 
 
-def _oscillatory_total(fn_vec, start, zeros,
-                       defect_target) -> tuple[float, list, np.ndarray]:
+def _oscillatory_total(fn_vec, start, zeros) -> tuple[float, list, np.ndarray]:
     """Accelerated limit of the cumulative integral along lobe sums.
 
     Acceleration alone would assign Abel-style values to divergent
     oscillations like sin(x), so convergence additionally requires the
     lobe areas themselves to decay.  After the limit settles, lobes keep
-    being accumulated until one drops below defect_target, which bounds
+    being accumulated until one drops below _DEFECT_TARGET, which bounds
     the tail-model defect of the stored primitive.
     """
     zs = [start]
@@ -149,7 +149,7 @@ def _oscillatory_total(fn_vec, start, zeros,
                         raise NoLimitAtInfinity(
                             "lobe areas do not decay; the cumulative "
                             "integral has no limit")
-        if total is not None and abs(area) < defect_target:
+        if total is not None and abs(area) < _DEFECT_TARGET:
             break
         if len(zs) > _MAX_LOBES:
             break
@@ -160,16 +160,14 @@ def _oscillatory_total(fn_vec, start, zeros,
 
 
 def hake_from_integrand(integrand, a: float = 0.0,
-                        tol: float = DEFAULT_TOL,
-                        depth_cap: int = DEFAULT_DEPTH_CAP,
-                        defect_target: float = 1e-2) -> HakeResult:
+                        tol: float = DEFAULT_TOL) -> HakeResult:
     """Primitive of an integrand on [a, inf), extended by 0 left of a.
 
     Non-oscillatory integrands go through plain adaptive quadrature.
     Oscillatory ones are partitioned at sign changes; the alternating
     lobe series is accelerated for the limit, lobes are accumulated
     exactly up to the point where one lobe is smaller than
-    defect_target, and past that cutoff the stored primitive follows a
+    _DEFECT_TARGET, and past that cutoff the stored primitive follows a
     smooth decaying tail model.  The sup-norm gap between the stored and
     the true primitive is bounded by defect_bound on the result; the
     total over [a, inf) is not affected by the model.
@@ -191,16 +189,16 @@ def hake_from_integrand(integrand, a: float = 0.0,
                 return integrate.quad(integrand, a, x, limit=200)[0]
             return total - integrate.quad(integrand, x, np.inf, limit=200)[0]
 
-        dist = distribution_from_evaluator(F, 0.0, total, tol, depth_cap)
+        dist = distribution_from_evaluator(F, 0.0, total, tol)
         return HakeResult(dist, total, 0, math.inf, 0.0)
 
     total, zs, sums = _oscillatory_total(
-        fn_vec, a, _scan_sign_changes(fn_vec, a, 0.5), defect_target)
+        fn_vec, a, _scan_sign_changes(fn_vec, a, 0.5))
 
     # accumulate lobes exactly until one is below the defect target
     cut_idx = len(sums) - 1
     for i in range(1, len(sums)):
-        if abs(sums[i] - sums[i - 1]) < defect_target:
+        if abs(sums[i] - sums[i - 1]) < _DEFECT_TARGET:
             cut_idx = i
             break
     cutoff = zs[cut_idx + 1]
@@ -220,5 +218,5 @@ def hake_from_integrand(integrand, a: float = 0.0,
         i = bisect_right(knots, x) - 1
         return float(knot_sums[i]) + gauss_segment(fn_vec, knots[i], x)
 
-    dist = distribution_from_evaluator(F, 0.0, total, tol, depth_cap)
+    dist = distribution_from_evaluator(F, 0.0, total, tol)
     return HakeResult(dist, total, len(zs) - 1, cutoff, defect)

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .chart import uniform_u_grid
-from .cfun import (DEFAULT_DEPTH_CAP, DEFAULT_TOL, ContinuousFunctionBar,
-                   build_continuous, extremes, sup_norm, _audited,
-                   _tail_limit)
+from .cfun import (DEFAULT_TOL, ContinuousFunctionBar, build_continuous,
+                   extremes, sup_norm, _audited, _tail_limit)
 from .errors import IntervalEmpty
 
 _EQUALITY_TOL = 1e-9
@@ -60,11 +59,10 @@ def try_from_primitive(F: ContinuousFunctionBar) -> Distribution:
 
 def distribution_from_evaluator(evaluator: Callable[[float], float],
                                 limit_neg: float, limit_pos: float,
-                                tol: float = DEFAULT_TOL,
-                                depth_cap: int = DEFAULT_DEPTH_CAP) -> Distribution:
+                                tol: float = DEFAULT_TOL) -> Distribution:
     """Audit the claimed primitive, then anchor and wrap it."""
     return try_from_primitive(
-        build_continuous(evaluator, limit_neg, limit_pos, tol, depth_cap))
+        build_continuous(evaluator, limit_neg, limit_pos, tol))
 
 
 def zero() -> Distribution:
@@ -81,8 +79,7 @@ def integral(f: Distribution, a: float, b: float) -> float:
     return F(b) - F(a)
 
 
-def norm(f: Distribution, kind: NormKind = NormKind.ALEXIEWICZ,
-         tol: float = DEFAULT_TOL) -> float:
+def norm(f: Distribution, kind: NormKind = NormKind.ALEXIEWICZ) -> float:
     """Norm of f through its primitive F.
 
     alexiewicz      sup over the extended line of |F|
@@ -92,8 +89,8 @@ def norm(f: Distribution, kind: NormKind = NormKind.ALEXIEWICZ,
                     pairing norm obtained from half-line indicators
     """
     if kind is NormKind.ALEXIEWICZ:
-        return sup_norm(f.primitive, tol)
-    hi, lo = extremes(f.primitive, tol)
+        return sup_norm(f.primitive)
+    hi, lo = extremes(f.primitive)
     if kind is NormKind.INTERVAL_SUP:
         return hi - lo
     if kind is NormKind.DUAL_BV_LOWER:
@@ -123,8 +120,7 @@ def equal(f: Distribution, g: Distribution,
 
 
 def hake_extend(F_finite: Callable[[float], float],
-                tol: float = DEFAULT_TOL,
-                depth_cap: int = DEFAULT_DEPTH_CAP) -> Distribution:
+                tol: float = DEFAULT_TOL) -> Distribution:
     """Extend a continuous function on the finite reals to a primitive.
 
     If both tail limits exist (audited geometrically) the extension lies
@@ -136,4 +132,4 @@ def hake_extend(F_finite: Callable[[float], float],
     limit_pos = _tail_limit(F_finite, +1, tol)
     limit_neg = _tail_limit(F_finite, -1, tol)
     return try_from_primitive(_audited(
-        ContinuousFunctionBar(F_finite, limit_neg, limit_pos), tol, depth_cap))
+        ContinuousFunctionBar(F_finite, limit_neg, limit_pos), tol))

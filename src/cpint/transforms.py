@@ -176,7 +176,10 @@ def weighted_integral(F_loc, r: float, tol: float = DEFAULT_TOL) -> float:
 
     Uses the identity F_r(x) = F(x) e^(-rx) - F(0) + r int_0^x F e^(-rt)
     whose last term converges absolutely; membership in the weighted
-    space is decided by a tail audit of F_r.
+    space is decided by a tail audit of F_r.  For r > 0 the audit stops
+    at cap = (log(1/tol) + 50)/r, where the weight is below tol e^(-50),
+    and samples F_r on [cap/2, cap): that is where a divergent F_r (for
+    F = e^(2x) at r = 1) still grows.
     """
     F0 = F_loc(0.0)
 
@@ -185,17 +188,18 @@ def weighted_integral(F_loc, r: float, tol: float = DEFAULT_TOL) -> float:
             return 0.0
         if r == 0.0:
             return F_loc(x) - F0
-        cap = (math.log(1.0 / tol) + 50.0) / r if r > 0 else x
-        xq = min(x, cap) if r > 0 else x
-        tail_term = F_loc(x) * math.exp(-r * x) if r * x < 700 else 0.0
         val, _ = integrate.quad(lambda t: F_loc(t) * math.exp(-r * t),
-                                0.0, xq, limit=400)
-        return tail_term - F0 + r * val
+                                0.0, x, limit=400)
+        return F_loc(x) * math.exp(-r * x) - F0 + r * val
 
-    # geometric tail audit of F_r
+    if r > 0.0:
+        cap = (math.log(1.0 / tol) + 50.0) / r
+        xs = [cap * (1.0 - 2.0 ** -k) for k in range(1, 9)]
+    else:
+        xs = [2.0 ** k - 1.0 for k in range(10, 40)]
     vals = []
-    for k in range(10, 40):
-        v = Fr(2.0 ** k - 1.0)
+    for x in xs:
+        v = Fr(x)
         if not math.isfinite(v):
             raise NoLimitAtInfinity("weighted primitive overflows")
         vals.append(v)
@@ -204,4 +208,4 @@ def weighted_integral(F_loc, r: float, tol: float = DEFAULT_TOL) -> float:
     if not spread < math.sqrt(tol) * (1.0 + abs(mean)):
         raise NoLimitAtInfinity(
             f"weighted primitive spread {spread:g}; not in the weighted space")
-    return mean
+    return vals[-1]

@@ -67,13 +67,6 @@ class TestBump:
         assert phi(2.5) == 0.0
         assert phi(1.5) == 0.0
 
-    def test_derivative_consistent_with_finite_difference(self):
-        phi = bump(0.0, 1.0)
-        h = 1e-6
-        for x in (-0.7, -0.2, 0.3, 0.8):
-            fd = (phi(x + h) - phi(x - h)) / (2.0 * h)
-            assert phi.derivative_evaluator(x) == pytest.approx(fd, abs=1e-5)
-
     def test_delta_sequence_mass_one(self):
         from scipy import integrate
         for n in (1, 4, 16):

@@ -78,7 +78,7 @@ class TestAbsNorm:
         exact, _ = integrate.quad(
             lambda x: abs(math.cos(x) * math.exp(-x * x)
                           - 2.0 * x * math.sin(x) * math.exp(-x * x)),
-            -20, 20)
+            -20, 20, limit=200)
         assert not res.divergent
         assert res.value == pytest.approx(exact, rel=1e-6)
 

@@ -108,3 +108,9 @@ class TestWeightedIntegral:
     def test_membership_gate(self):
         with pytest.raises(NoLimitAtInfinity):
             weighted_integral(lambda x: x, 0.0)
+
+    def test_divergent_under_weight_raises(self):
+        # f = 2 e^(2t) against e^(-t): the integrand grows like e^t, and
+        # F_r must not freeze at the quadrature cap
+        with pytest.raises(NoLimitAtInfinity):
+            weighted_integral(lambda x: math.exp(2.0 * x), 1.0)
