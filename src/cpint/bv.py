@@ -351,14 +351,22 @@ _STEP = np.diff(np.eye(17)[:, ::2], axis=1)
 # far fewer evaluations there.
 _RESIDUAL_SHARE = 1.0 / 16.0
 _GOAL = 0.1         # the loop stops when the estimates sum to tol * _GOAL
+_ROUNDOFF = 16 * 2.0 ** -52   # ... or to this share of sum |panel values|
 _DEPTH_CAP = 40     # bisections of one panel before BudgetExceeded
+
+
+def _panel_us(ua: float, ub: float) -> list[float]:
+    """The 17 nodes of the panel [ua, ub] in the u chart, ending at ua
+    and ub exactly."""
+    us = (0.5 * (ua + ub) + 0.5 * (ub - ua) * _NODES).tolist()
+    us[0], us[-1] = ua, ub
+    return us
 
 
 def _panel(F, G, ua, fa, ga, ub, fb, gb):
     """int F dg over [ua, ub] in the u chart: value, error estimate, and
     F and g at the middle node, which the bisection reuses."""
-    us = 0.5 * (ua + ub) + 0.5 * (ub - ua) * _NODES[1:-1]
-    xs = [decompactify(u) for u in us.tolist()]
+    xs = [decompactify(u) for u in _panel_us(ua, ub)[1:-1]]
     fg = np.array([[fa] + [F(x) for x in xs] + [fb],
                    [ga] + [G(x) for x in xs] + [gb]])
     fm, gm = fg[:, _MID]
@@ -389,7 +397,8 @@ def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
     the endpoint correction terms; the continuous monotone remainder is
     integrated by Chebyshev-Lobatto panels in the compact chart.  One
     heap holds the panels of every piece; the panel with the largest
-    error estimate is bisected until the estimates sum to tol/10.
+    error estimate is bisected until the estimates sum to tol/10, or to
+    _ROUNDOFF of the summed |panel values| if that is coarser.
     """
     if a > b:
         raise IntervalEmpty(f"rs_integral over [{a}, {b}]")
@@ -404,8 +413,16 @@ def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
     for p in g.breakpoints:
         if a < p < b:
             total += F(p) * (g.right_limit(p) - g.left_limit(p))
+    return total + math.fsum(p[2] for p in _panel_heap(F, g, a, b, tol))
 
-    heap = []   # (-err, serial, value, depth, G, ua, fa, ga, fm, gm, ub, fb, gb)
+
+def _panel_heap(F, g: BVFunction, a: float, b: float, tol: float,
+                max_panels: float = math.inf) -> list[tuple]:
+    """The heap loop of rs_integral over [a, b], jumps of g left out:
+    the final panels (-err, serial, value, depth, G, ua, fa, ga, fm, gm,
+    ub, fb, gb).  tol is absolute, floored at _ROUNDOFF of the summed
+    |values|; BudgetExceeded past _DEPTH_CAP or max_panels."""
+    heap = []
     serial = count()
 
     def push(G, depth, ua, fa, ga, ub, fb, gb) -> float:
@@ -437,19 +454,25 @@ def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
 
     goal = _GOAL * tol
     while heap:
-        if err_sum <= goal:
-            # the running sum drifts by roundoff; decide on an exact one
+        # the running sum drifts by roundoff of the largest estimates it
+        # held; decide on an exact one, renewed as the heap doubles, and
+        # on a goal no finer than the roundoff of the values
+        n = len(heap)
+        if err_sum <= goal or n & (n - 1) == 0:
             err_sum = math.fsum(-p[0] for p in heap)
+            goal = _GOAL * tol + _ROUNDOFF * math.fsum(abs(p[2]) for p in heap)
             if err_sum <= goal:
                 break
         neg_err, _, _, depth, G, ua, fa, ga, fm, gm, ub, fb, gb = \
             heapq.heappop(heap)
-        if depth == _DEPTH_CAP:
+        if depth == _DEPTH_CAP or n >= max_panels:
+            cap = (f"depth cap {_DEPTH_CAP}" if depth == _DEPTH_CAP
+                   else f"panel cap {max_panels}")
             raise BudgetExceeded(
-                f"Stieltjes refinement depth cap {_DEPTH_CAP} reached on x in "
+                f"Stieltjes refinement {cap} reached on x in "
                 f"[{decompactify(ua)!r}, {decompactify(ub)!r}] after "
                 f"{next(serial)} panels")
         um = 0.5 * (ua + ub)
         err_sum += (neg_err + push(G, depth + 1, ua, fa, ga, um, fm, gm)
                     + push(G, depth + 1, um, fm, gm, ub, fb, gb))
-    return total + math.fsum(p[2] for p in heap)
+    return heap

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .bv import BVFunction, blocks, from_knots, indicator, monotone
 from .cfun import ContinuousFunctionBar
@@ -65,6 +64,8 @@ def cantor_distribution() -> Distribution:
 
 def si_distribution() -> Distribution:
     """sin(t)/t on [0, inf): conditionally integrable, primitive Si."""
+    from scipy import special
+
     def F(x: float) -> float:
         if x <= 0.0:
             return 0.0
@@ -86,6 +87,8 @@ def quadratic_osc_distribution() -> Distribution:
 
 def fresnel_distribution() -> Distribution:
     """sin(t^2) on [0, inf) through its closed-form primitive."""
+    from scipy import special
+
     half = math.sqrt(math.pi / 2.0)
 
     def F(x: float) -> float:

@@ -2,28 +2,37 @@
 
 The integral itself is always endpoint evaluation; this module only
 builds primitives.  For integrands with a settling cumulative integral
-the primitive is plain adaptive quadrature.  For oscillatory integrands
-whose cumulative integral converges conditionally (the interesting
-case), the tail limit is extracted by partitioning at sign changes and
-accelerating the alternating lobe series.
+the Stieltjes panel heap of bv integrates h against the chart, and the
+primitive interpolates h on the final panels.  For oscillatory
+integrands whose cumulative integral converges conditionally (the
+interesting case), the tail limit is extracted by partitioning at sign
+changes and accelerating the alternating lobe series.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial import chebyshev
 
+from .bv import _NODES, _panel_heap, _panel_us, monotone
 from .cfun import DEFAULT_TOL
+from .chart import compactify, decompactify
 from .errors import NoLimitAtInfinity
 from .space import Distribution, distribution_from_evaluator
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# Chebyshev coefficients, on t in [-1, 1], of the antiderivative from -1
+# of the interpolant through values at the 17 panel nodes of bv
+_ANTIDERIVATIVE = chebyshev.chebint(
+    np.linalg.inv(chebyshev.chebvander(_NODES, len(_NODES) - 1)), lbnd=-1)
 
 _MAX_LOBES = 20000
+_PANEL_CAP = 4096         # final panels of a settled primitive
 _SCAN_WINDOW = 60.0       # no sign change within this => not oscillatory
 _ACCEL_TAIL = 40          # partial sums fed to the epsilon algorithm
 _MODEL_DECAY = 3          # tail model exponent past the lobe cutoff
@@ -159,11 +168,54 @@ def _oscillatory_total(fn_vec, start, zeros) -> tuple[float, list, np.ndarray]:
     return total, zs, np.array(sums)
 
 
+def _settled_primitive(integrand, a: float, tol: float) -> HakeResult:
+    """Primitive of a non-oscillatory integrand h on [a, inf): dx is
+    (1+|x|)^2 du in the chart, so the panel heap of bv integrates
+    H = h (1+|x|)^2, with H(inf) = 0, against the chart to tol, or to the
+    roundoff of the total if that is coarser, in at most _PANEL_CAP
+    panels.  On each final panel F adds the antiderivative of H's
+    interpolant to the sum of the panels to its left, with no integrand
+    call."""
+    @functools.cache     # the heap has evaluated H at every panel node
+    def H(x: float) -> float:
+        if math.isinf(x):
+            return 0.0
+        return integrand(x) * (1.0 + abs(x)) ** 2
+
+    heap = _panel_heap(H, monotone(compactify, -1.0, 1.0), a, math.inf, tol,
+                       max_panels=_PANEL_CAP)
+    panels = sorted((p[5], p[10]) for p in heap)
+    knots = [ua for ua, _ in panels] + [1.0]
+    coefs = []
+    sums = [0.0]
+    for ua, ub in panels:
+        c = 0.5 * (ub - ua) * (_ANTIDERIVATIVE @ [H(decompactify(u))
+                                                  for u in _panel_us(ua, ub)])
+        coefs.append(c)
+        sums.append(sums[-1] + float(c.sum()))   # T_k(1) = 1
+    total = sums[-1]
+
+    def F(x: float) -> float:
+        if x <= a:
+            return 0.0
+        u = compactify(x)
+        # compactify can fall by one ulp just above a
+        i = min(max(bisect_right(knots, u) - 1, 0), len(panels) - 1)
+        ua, ub = knots[i], knots[i + 1]
+        return sums[i] + float(chebyshev.chebval(
+            (2.0 * u - ua - ub) / (ub - ua), coefs[i]))
+
+    dist = distribution_from_evaluator(F, 0.0, total, tol)
+    return HakeResult(dist, total, 0, math.inf, 0.0)
+
+
 def hake_from_integrand(integrand, a: float = 0.0,
                         tol: float = DEFAULT_TOL) -> HakeResult:
     """Primitive of an integrand on [a, inf), extended by 0 left of a.
 
-    Non-oscillatory integrands go through plain adaptive quadrature.
+    Non-oscillatory integrands are integrated to tol by the Stieltjes
+    panel heap in the compact chart (see _settled_primitive); h is
+    evaluated at a and must be finite there, else BudgetExceeded.
     Oscillatory ones are partitioned at sign changes; the alternating
     lobe series is accelerated for the limit, lobes are accumulated
     exactly up to the point where one lobe is smaller than
@@ -180,17 +232,7 @@ def hake_from_integrand(integrand, a: float = 0.0,
     has_change = np.any(vals[:-1] * vals[1:] < 0.0)
 
     if not has_change:
-        total, _ = integrate.quad(integrand, a, np.inf, limit=400)
-
-        def F(x, a=a, total=total):
-            if x <= a:
-                return 0.0
-            if x <= a + 200.0:
-                return integrate.quad(integrand, a, x, limit=200)[0]
-            return total - integrate.quad(integrand, x, np.inf, limit=200)[0]
-
-        dist = distribution_from_evaluator(F, 0.0, total, tol)
-        return HakeResult(dist, total, 0, math.inf, 0.0)
+        return _settled_primitive(integrand, a, tol)
 
     total, zs, sums = _oscillatory_total(
         fn_vec, a, _scan_sign_changes(fn_vec, a, 0.5))

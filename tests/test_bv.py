@@ -171,6 +171,25 @@ class TestRsIntegral:
             r"x in \[([^,]+), ([^\]]+)\]", str(info.value)).groups())
         assert lo <= 0.3 <= hi
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12], ids=["default", "fine"])
+    def test_error_sum_reaches_goal(self, tol):
+        # int t^3 d(-e^(-0.1 t)) on [0, 1000] = 6 / 0.1^3 up to e^(-100).
+        # The first estimate is 1.1e7, whose roundoff in a running sum
+        # stays above the goal of 1e-11 long after the estimates are
+        # below it; a goal of 1e-13 is below the roundoff of 6000 itself
+        calls = 0
+
+        def cube(x):
+            nonlocal calls
+            calls += 1
+            if calls > 50_000:
+                raise RuntimeError("error sum never reached the goal")
+            return x ** 3
+
+        g = monotone(lambda t: -math.exp(-0.1 * t), NEG_INF, 0.0)
+        assert rs_integral(cube, g, 0.0, 1000.0, tol) == pytest.approx(
+            6000.0, rel=1e-14)
+
 
 class TestFromCallable:
     def test_splits_at_extrema(self):

@@ -3,8 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpint.cfun import (ContinuousFunctionBar, audit_on_interval, build_continuous,
-                        bump, delta_sequence, extremes, sup_norm)
+from cpint.cfun import (_PROFILE_MASS, ContinuousFunctionBar, audit_on_interval,
+                        build_continuous, bump, delta_sequence, extremes,
+                        sup_norm)
 from cpint.errors import NoLimitAtInfinity, NotContinuous
 
 
@@ -74,6 +75,12 @@ class TestBump:
             lo, hi = phi.support
             mass, _ = integrate.quad(phi, lo, hi)
             assert mass == pytest.approx(1.0, abs=1e-9)
+
+    def test_profile_mass_against_mpmath(self):
+        import mpmath
+        with mpmath.workdps(40):
+            mass = 2 * mpmath.quad(lambda s: mpmath.exp(1 / (s - 1)), [0, 1])
+        assert _PROFILE_MASS == float(mass)
 
 
 class TestAlgebra:

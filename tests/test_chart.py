@@ -32,8 +32,13 @@ class TestCompactify:
     @given(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
            st.floats(min_value=-1e12, max_value=1e12, allow_nan=False))
     def test_monotone(self, x, y):
+        # the doubles near u = 1 are 1.1e-16 apart, so beyond |x| = 1e7
+        # nearby x share a u (adjacent integers do near 1e12)
         if x < y:
-            assert compactify(x) < compactify(y)
+            if max(abs(x), abs(y)) < 1e7:
+                assert compactify(x) < compactify(y)
+            else:
+                assert compactify(x) <= compactify(y)
 
     @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
     def test_inverse_round_trip(self, u):

@@ -114,3 +114,13 @@ class TestWeightedIntegral:
         # F_r must not freeze at the quadrature cap
         with pytest.raises(NoLimitAtInfinity):
             weighted_integral(lambda x: math.exp(2.0 * x), 1.0)
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(DomainError):
+            weighted_integral(lambda x: x, -1.0)
+
+    def test_slow_tail_without_weight_raises(self):
+        # 1 - (1 + x)^(-1/2) tends to 1, but only like x^(-1/2): the tail
+        # audit must not return the mean of samples short of the limit
+        with pytest.raises(NoLimitAtInfinity):
+            weighted_integral(lambda x: 1.0 - (1.0 + x) ** -0.5, 0.0)
