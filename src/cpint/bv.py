@@ -355,6 +355,12 @@ _ROUNDOFF = 16 * 2.0 ** -52   # ... or to this share of sum |panel values|
 _DEPTH_CAP = 40     # bisections of one panel before BudgetExceeded
 
 
+def _goal(tol: float, scale: float) -> float:
+    """Error goal of a refinement to the absolute tol, floored at the
+    roundoff of values that sum to scale in magnitude."""
+    return _GOAL * tol + _ROUNDOFF * scale
+
+
 def _panel_us(ua: float, ub: float) -> list[float]:
     """The 17 nodes of the panel [ua, ub] in the u chart, ending at ua
     and ub exactly."""
@@ -452,7 +458,7 @@ def _panel_heap(F, g: BVFunction, a: float, b: float, tol: float,
         err_sum += push(G, 0, compactify(lo), F(lo), ga,
                         compactify(hi), F(hi), gb)
 
-    goal = _GOAL * tol
+    goal = _goal(tol, 0.0)
     while heap:
         # the running sum drifts by roundoff of the largest estimates it
         # held; decide on an exact one, renewed as the heap doubles, and
@@ -460,7 +466,7 @@ def _panel_heap(F, g: BVFunction, a: float, b: float, tol: float,
         n = len(heap)
         if err_sum <= goal or n & (n - 1) == 0:
             err_sum = math.fsum(-p[0] for p in heap)
-            goal = _GOAL * tol + _ROUNDOFF * math.fsum(abs(p[2]) for p in heap)
+            goal = _goal(tol, math.fsum(abs(p[2]) for p in heap))
             if err_sum <= goal:
                 break
         neg_err, _, _, depth, G, ua, fa, ga, fm, gm, ub, fb, gb = \

@@ -1,49 +1,51 @@
 """Primitive construction by quadrature, including oscillatory tails.
 
 The integral itself is always endpoint evaluation; this module only
-builds primitives.  For integrands with a settling cumulative integral
-the Stieltjes panel heap of bv integrates h against the chart, and the
-primitive interpolates h on the final panels.  For oscillatory
-integrands whose cumulative integral converges conditionally (the
-interesting case), the tail limit is extracted by partitioning at sign
-changes and accelerating the alternating lobe series.
+builds primitives, each as a table of Chebyshev series, one row per
+panel, so that evaluating a primitive calls no integrand.  For
+integrands with a settling cumulative integral the Stieltjes panel heap
+of bv integrates h against the chart, and the table interpolates h on
+the final panels.  For oscillatory integrands whose cumulative integral
+converges conditionally (the interesting case), the integrand is
+partitioned at its sign changes, each lobe is interpolated at 20
+Gauss-Legendre nodes, and the tail limit is extracted by accelerating
+the alternating series of lobe areas.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev
+from numpy.polynomial import chebyshev, legendre
 
-from .bv import _NODES, _panel_heap, _panel_us, monotone
+from .bv import (_DEPTH_CAP, _NODES, _goal, _panel_heap, _panel_us,
+                 monotone)
 from .cfun import DEFAULT_TOL
 from .chart import compactify, decompactify
-from .errors import NoLimitAtInfinity
+from .errors import BudgetExceeded, NoLimitAtInfinity
 from .space import Distribution, distribution_from_evaluator
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(20)
 # Chebyshev coefficients, on t in [-1, 1], of the antiderivative from -1
 # of the interpolant through values at the 17 panel nodes of bv
 _ANTIDERIVATIVE = chebyshev.chebint(
     np.linalg.inv(chebyshev.chebvander(_NODES, len(_NODES) - 1)), lbnd=-1)
+# ... of the interpolant through values at 20 Gauss-Legendre nodes, and
+# of its antiderivative from -1, whose value at 1 is the Gauss rule
+_GAUSS_NODES = legendre.leggauss(20)[0]
+_LOBE_INTERPOLANT = np.linalg.inv(chebyshev.chebvander(_GAUSS_NODES, 19))
+_LOBE_ANTIDERIVATIVE = chebyshev.chebint(_LOBE_INTERPOLANT, lbnd=-1)
 
 _MAX_LOBES = 20000
+_SEGMENT_CAP = 2 * _MAX_LOBES   # rows of a lobe table
 _PANEL_CAP = 4096         # final panels of a settled primitive
 _SCAN_WINDOW = 60.0       # no sign change within this => not oscillatory
 _ACCEL_TAIL = 40          # partial sums fed to the epsilon algorithm
 _MODEL_DECAY = 3          # tail model exponent past the lobe cutoff
 _DEFECT_TARGET = 1e-2     # lobes are summed exactly down to this area
-
-
-def gauss_segment(fn, a: float, b: float) -> float:
-    """Fixed 20-node Gauss-Legendre rule on [a, b]; fn must accept arrays."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(_GAUSS_WEIGHTS, fn(mid + half * _GAUSS_NODES)))
 
 
 def epsilon_limit(partial_sums) -> float:
@@ -70,40 +72,95 @@ def epsilon_limit(partial_sums) -> float:
     return best
 
 
+def _primitive_table(knots: list[float], rows: list[np.ndarray]):
+    """Evaluator and end value of the continuous piecewise Chebyshev
+    series whose row i, on [knots[i], knots[i+1]], is an antiderivative
+    that vanishes at knots[i].  Each row is offset by the sum of the rows
+    to its left (T_k(1) = 1, so a row sums to its value at its right
+    end).  A point is bisected to its panel and summed by Clenshaw's
+    recurrence in floats; outside the knots the end panels extrapolate."""
+    table = np.array(rows)
+    ends = np.cumsum(table.sum(axis=1))
+    table[1:, 0] += ends[:-1]
+    last = len(rows) - 1
+
+    def at(s: float) -> float:
+        i = min(max(bisect_right(knots, s) - 1, 0), last)
+        lo, hi = knots[i], knots[i + 1]
+        t = (2.0 * s - lo - hi) / (hi - lo)
+        t2 = t + t
+        c = table[i].tolist()
+        b1 = b2 = 0.0
+        for ck in c[:0:-1]:
+            b1, b2 = ck + t2 * b1 - b2, b1
+        return c[0] + t * b1 - b2
+
+    return at, float(ends[-1])
+
+
+def _illinois_zero(fn, a: float, fa: float, b: float, fb: float) -> float:
+    """Zero of fn in [a, b], where fa and fb differ in sign, to a bracket
+    below 1e-15 relative, by regula falsi with the Illinois modification
+    (Dowell & Jarratt 1971): the value kept at an end that stays twice in
+    a row is halved, so both ends close in.  A step from the newest end
+    shorter than half the goal is lengthened to it, so that once the zero
+    is pinned the next point lands across it.  Where two steps in a row
+    leave more than half the bracket, as at a zero of high multiplicity,
+    the next one bisects."""
+    side = 0
+    width = b - a       # the bracket when it last halved
+    stalls = 0
+    while True:
+        m = 0.5 * (a + b)
+        goal = 1e-15 * (1.0 + abs(m))
+        if b - a < goal:
+            return m
+        c = b - fb * (b - a) / (fb - fa)
+        if side == -1:
+            c = min(c, b - 0.5 * goal)
+        elif side == 1:
+            c = max(c, a + 0.5 * goal)
+        if stalls == 2 or not a < c < b:
+            c = m
+        fc = fn(c)
+        if fc == 0.0:
+            return c
+        if (fc < 0.0) == (fb < 0.0):
+            b, fb = c, fc
+            if side == -1:
+                fa *= 0.5
+            side = -1
+        else:
+            a, fa = c, fc
+            if side == 1:
+                fb *= 0.5
+            side = 1
+        if b - a <= 0.5 * width:
+            width, stalls = b - a, 0
+        else:
+            stalls += 1
+
+
 def _scan_sign_changes(fn, start: float, first_step: float):
     """Generator of consecutive sign-change points of fn after start."""
     t = start
-    v = fn(np.array([t]))[0]
+    v = fn(t)
     step = first_step
     last_z = None
     while True:
         t2 = t + step
-        v2 = fn(np.array([t2]))[0]
+        v2 = fn(t2)
         if v == 0.0:
             v = v2
             t = t2
             continue
         if v * v2 < 0.0:
-            a, b = t, t2
-            fa = v
-            for _ in range(100):
-                m = 0.5 * (a + b)
-                fm = fn(np.array([m]))[0]
-                if fm == 0.0 or (b - a) < 1e-15 * (1.0 + abs(m)):
-                    a = b = m
-                    break
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            z = 0.5 * (a + b)
+            z = _illinois_zero(fn, t, v, t2, v2)
             if last_z is not None:
                 step = 0.35 * (z - last_z)
             last_z = z
             yield z
-            t, v = t2, v2
-        else:
-            t, v = t2, v2
+        t, v = t2, v2
 
 
 @dataclass(frozen=True)
@@ -114,11 +171,49 @@ class HakeResult:
     total: float          # integral over [a, inf)
     lobes_used: int       # 0 for the non-oscillatory path
     cutoff: float         # evaluator switches to the tail model here
-    defect_bound: float   # sup distance between stored and true primitive
+    # estimated sup distance between the stored and the true primitive:
+    # the tail model's defect on the lobe path, the panel heap's summed
+    # error estimate on the settled path
+    defect_bound: float
 
 
-def _oscillatory_total(fn_vec, start, zeros) -> tuple[float, list, np.ndarray]:
-    """Accelerated limit of the cumulative integral along lobe sums.
+def _lobe_rows(integrand, a: float, b: float, tol: float, room: int):
+    """Rows of the lobe table on [a, b], as (left end, row) pairs: the
+    antiderivative of the interpolant through h at the 20 Gauss nodes.
+    A segment is bisected, left half first, until half its width times
+    its last two interpolant coefficients is within bv's goal for tol,
+    floored at the roundoff of its values; BudgetExceeded past bv's
+    depth cap or past room segments."""
+    rows = []
+    todo = [(a, b, 0)]
+    while todo:
+        lo, hi, depth = todo.pop()
+        half = 0.5 * (hi - lo)
+        vals = np.array([integrand(x) for x in
+                         (lo + half * (_GAUSS_NODES + 1.0)).tolist()],
+                        dtype=float)
+        if not np.isfinite(vals).all():
+            raise BudgetExceeded(
+                f"non-finite integrand on x in [{lo!r}, {hi!r}]")
+        c = _LOBE_INTERPOLANT @ vals
+        if half * (abs(c[-2]) + abs(c[-1])) <= _goal(
+                tol, half * float(np.abs(vals).sum())):
+            rows.append((lo, half * (_LOBE_ANTIDERIVATIVE @ vals)))
+            continue
+        if depth == _DEPTH_CAP or len(rows) + len(todo) + 2 > room:
+            cap = (f"depth cap {_DEPTH_CAP}" if depth == _DEPTH_CAP
+                   else f"segment cap {_SEGMENT_CAP}")
+            raise BudgetExceeded(
+                f"lobe {cap} reached on x in [{lo!r}, {hi!r}]")
+        m = lo + half
+        todo += [(m, hi, depth + 1), (lo, m, depth + 1)]
+    return rows
+
+
+def _oscillatory_total(integrand, start, zeros, tol):
+    """Accelerated limit of the cumulative integral along lobe sums, with
+    the lobe boundaries, the partial sums, and the lobe table's knots and
+    rows.
 
     Acceleration alone would assign Abel-style values to divergent
     oscillations like sin(x), so convergence additionally requires the
@@ -127,6 +222,8 @@ def _oscillatory_total(fn_vec, start, zeros) -> tuple[float, list, np.ndarray]:
     the tail-model defect of the stored primitive.
     """
     zs = [start]
+    knots = []
+    rows = []
     areas = []
     sums = []
     total = None
@@ -134,7 +231,12 @@ def _oscillatory_total(fn_vec, start, zeros) -> tuple[float, list, np.ndarray]:
     decay_failures = 0
     prev_est = None
     for z in zeros:
-        area = gauss_segment(fn_vec, zs[-1], z)
+        segments = _lobe_rows(integrand, zs[-1], z, tol,
+                              _SEGMENT_CAP - len(rows))
+        area = math.fsum(float(row.sum()) for _, row in segments)
+        for left, row in segments:
+            knots.append(left)
+            rows.append(row)
         areas.append(area)
         sums.append((sums[-1] if sums else 0.0) + area)
         zs.append(z)
@@ -165,7 +267,8 @@ def _oscillatory_total(fn_vec, start, zeros) -> tuple[float, list, np.ndarray]:
     if total is None:
         raise NoLimitAtInfinity(
             "lobe sums did not settle within the lobe budget")
-    return total, zs, np.array(sums)
+    knots.append(zs[-1])
+    return total, zs, sums, knots, rows
 
 
 def _settled_primitive(integrand, a: float, tol: float) -> HakeResult:
@@ -185,28 +288,19 @@ def _settled_primitive(integrand, a: float, tol: float) -> HakeResult:
     heap = _panel_heap(H, monotone(compactify, -1.0, 1.0), a, math.inf, tol,
                        max_panels=_PANEL_CAP)
     panels = sorted((p[5], p[10]) for p in heap)
-    knots = [ua for ua, _ in panels] + [1.0]
-    coefs = []
-    sums = [0.0]
-    for ua, ub in panels:
-        c = 0.5 * (ub - ua) * (_ANTIDERIVATIVE @ [H(decompactify(u))
+    rows = [0.5 * (ub - ua) * (_ANTIDERIVATIVE @ [H(decompactify(u))
                                                   for u in _panel_us(ua, ub)])
-        coefs.append(c)
-        sums.append(sums[-1] + float(c.sum()))   # T_k(1) = 1
-    total = sums[-1]
+            for ua, ub in panels]
+    # compactify can fall by one ulp just above a: the first panel
+    # extrapolates there
+    at_u, total = _primitive_table([ua for ua, _ in panels] + [1.0], rows)
 
     def F(x: float) -> float:
-        if x <= a:
-            return 0.0
-        u = compactify(x)
-        # compactify can fall by one ulp just above a
-        i = min(max(bisect_right(knots, u) - 1, 0), len(panels) - 1)
-        ua, ub = knots[i], knots[i + 1]
-        return sums[i] + float(chebyshev.chebval(
-            (2.0 * u - ua - ub) / (ub - ua), coefs[i]))
+        return 0.0 if x <= a else at_u(compactify(x))
 
     dist = distribution_from_evaluator(F, 0.0, total, tol)
-    return HakeResult(dist, total, 0, math.inf, 0.0)
+    return HakeResult(dist, total, 0, math.inf,
+                      math.fsum(-p[0] for p in heap))
 
 
 def hake_from_integrand(integrand, a: float = 0.0,
@@ -216,26 +310,29 @@ def hake_from_integrand(integrand, a: float = 0.0,
     Non-oscillatory integrands are integrated to tol by the Stieltjes
     panel heap in the compact chart (see _settled_primitive); h is
     evaluated at a and must be finite there, else BudgetExceeded.
-    Oscillatory ones are partitioned at sign changes; the alternating
-    lobe series is accelerated for the limit, lobes are accumulated
-    exactly up to the point where one lobe is smaller than
-    _DEFECT_TARGET, and past that cutoff the stored primitive follows a
-    smooth decaying tail model.  The sup-norm gap between the stored and
-    the true primitive is bounded by defect_bound on the result; the
-    total over [a, inf) is not affected by the model.
+    Oscillatory ones are partitioned at sign changes, found by Illinois
+    regula falsi; each lobe is interpolated at 20 Gauss-Legendre nodes,
+    and bisected until the interpolant's last coefficients meet the goal
+    of bv's panel heap, tol/10 floored at the roundoff of the values.
+    The alternating series of lobe areas is accelerated for the limit,
+    lobes are accumulated exactly up to the point where one lobe is
+    smaller than _DEFECT_TARGET, and past that cutoff the stored
+    primitive follows a smooth decaying tail model.  A non-finite value
+    of h in a lobe, a segment past bv's depth cap, or a lobe table past
+    _SEGMENT_CAP rows raises BudgetExceeded.  On both paths the primitive
+    is a table of Chebyshev series and evaluating it calls no integrand.
+    The sup-norm gap between the stored and the true primitive is
+    estimated by defect_bound on the result; the total over [a, inf) is
+    not affected by the tail model.
     """
-    fn_vec = np.vectorize(integrand, otypes=[float])
-
     # probe for oscillation: any sign change in the scan window?
-    probe = np.linspace(a, a + _SCAN_WINDOW, 4096)
-    vals = fn_vec(probe)
-    has_change = np.any(vals[:-1] * vals[1:] < 0.0)
-
-    if not has_change:
+    probe = [integrand(x)
+             for x in np.linspace(a, a + _SCAN_WINDOW, 4096).tolist()]
+    if not any(u * v < 0.0 for u, v in zip(probe, probe[1:])):
         return _settled_primitive(integrand, a, tol)
 
-    total, zs, sums = _oscillatory_total(
-        fn_vec, a, _scan_sign_changes(fn_vec, a, 0.5))
+    total, zs, sums, knots, rows = _oscillatory_total(
+        integrand, a, _scan_sign_changes(integrand, a, 0.5), tol)
 
     # accumulate lobes exactly until one is below the defect target
     cut_idx = len(sums) - 1
@@ -244,21 +341,18 @@ def hake_from_integrand(integrand, a: float = 0.0,
             cut_idx = i
             break
     cutoff = zs[cut_idx + 1]
-    S_cut = float(sums[cut_idx])
+    n = bisect_left(knots, cutoff)
+    at_x, S_cut = _primitive_table(knots[:n + 1], rows[:n])
     tail_cut = total - S_cut
     defect = abs(tail_cut) + (abs(sums[cut_idx] - sums[cut_idx - 1])
                               if cut_idx >= 1 else 0.0)
-    knots = zs[:cut_idx + 2]
-    knot_sums = np.concatenate([[0.0], sums[:cut_idx + 1]])
 
-    def F(x, a=a, knots=knots, knot_sums=knot_sums, total=total,
-          cutoff=cutoff, tail_cut=tail_cut):
+    def F(x: float) -> float:
         if x <= a:
             return 0.0
         if x >= cutoff:
             return total - tail_cut * (cutoff / x) ** _MODEL_DECAY
-        i = bisect_right(knots, x) - 1
-        return float(knot_sums[i]) + gauss_segment(fn_vec, knots[i], x)
+        return at_x(x)
 
     dist = distribution_from_evaluator(F, 0.0, total, tol)
     return HakeResult(dist, total, len(zs) - 1, cutoff, defect)

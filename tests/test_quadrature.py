@@ -1,21 +1,46 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
 from cpint.errors import BudgetExceeded, NoLimitAtInfinity, NotContinuous
-from cpint.quadrature import epsilon_limit, gauss_segment, hake_from_integrand
+from cpint.quadrature import (_lobe_rows, _primitive_table,
+                              _scan_sign_changes, epsilon_limit,
+                              hake_from_integrand)
 
 FRESNEL_TOTAL = 0.6266570686577501   # sqrt(pi) / 2^(3/2)
 SI_TOTAL = math.pi / 2.0
 
 
 class TestGaussSegment:
+    """The lobe table: antiderivatives of the interpolants through the
+    integrand at 20 Gauss-Legendre nodes."""
+
     def test_polynomial_exact(self):
-        got = gauss_segment(lambda x: x ** 7 - 3.0 * x ** 2 + 1.0, -1.0, 2.0)
-        exact = (2.0 ** 8 - 1.0) / 8.0 - (2.0 ** 3 + 1.0) + 3.0
-        assert got == pytest.approx(exact, abs=1e-12)
+        # degree 19: the interpolant is the polynomial itself, so the
+        # table is its primitive at every point, bisected or not
+        p = np.polynomial.Polynomial(
+            np.random.default_rng(7).uniform(-1.0, 1.0, 20))
+        P = p.integ(lbnd=-1.0)
+        segments = _lobe_rows(p, -1.0, 2.0, 1e-10, 64)
+        F, total = _primitive_table([x for x, _ in segments] + [2.0],
+                                    [row for _, row in segments])
+        scale = np.abs(P(np.linspace(-1.0, 2.0, 301))).max()
+        assert total == pytest.approx(P(2.0), abs=1e-14 * scale)
+        for x in np.linspace(-1.0, 2.0, 301).tolist():
+            assert F(x) == pytest.approx(P(x), abs=1e-14 * scale)
+
+    def test_first_lobe_of_slow_decay_against_mpmath(self):
+        # a single degree-19 interpolant misses by 2e-10 on this lobe;
+        # the table bisects it to tol
+        b = 0.8
+        F = hake_from_integrand(
+            lambda x: math.sin(b * x) / (1.0 + x)).distribution.primitive
+        for x in np.linspace(0.05, math.pi / b, 24).tolist():
+            want = mpmath.quad(lambda t: mpmath.sin(b * t) / (1 + t), [0, x])
+            assert F(x) == pytest.approx(float(want), abs=1e-12)
 
 
 class TestEpsilonLimit:
@@ -27,6 +52,18 @@ class TestEpsilonLimit:
             partial.append(s)
         assert epsilon_limit(partial) == pytest.approx(math.log(2.0),
                                                        abs=1e-10)
+
+
+class TestSignChanges:
+    @pytest.mark.parametrize("f,zero", [
+        (lambda x: math.sin(x * x), lambda k: math.sqrt(k * math.pi)),
+        # regula falsi alone stalls at a zero of multiplicity 5
+        (lambda x: math.sin(x) ** 5, lambda k: k * math.pi),
+    ], ids=["fresnel", "fifth_power"])
+    def test_zeros_within_bracket(self, f, zero):
+        zs = _scan_sign_changes(f, 0.0, 0.5)
+        for k in range(1, 301):
+            assert abs(next(zs) - zero(k)) <= 1e-15 * (1.0 + zero(k))
 
 
 class TestHake:
@@ -59,6 +96,80 @@ class TestHake:
         for x in (1.0, 5.0, 20.0):
             assert F(x) == pytest.approx(float(special.sici(x)[0]),
                                          abs=1e-8)
+
+    @pytest.mark.parametrize("h,primitive", [
+        (lambda x: math.sin(x * x),
+         lambda x: math.sqrt(math.pi / 2.0) * float(
+             special.fresnel(x * math.sqrt(2.0 / math.pi))[0])),
+        (lambda x: math.sin(x) / (1.0 + x),
+         lambda x: float(mpmath.quad(lambda t: mpmath.sin(t) / (1 + t),
+                                     [0, x]))),
+    ], ids=["fresnel", "sin_over_linear"])
+    def test_primitive_makes_no_integrand_call(self, h, primitive):
+        calls = []
+        F = hake_from_integrand(
+            lambda x: calls.append(x) or h(x)).distribution.primitive
+        built = len(calls)
+        for x in (0.1, 1.0, 3.0, 12.0, 40.0):
+            assert F(x) == pytest.approx(primitive(x), abs=1e-11)
+        assert len(calls) == built
+
+    def test_fresnel_integrand_calls(self):
+        # one pass over each lobe and Illinois zeros; 475,933 calls when
+        # F reran a Gauss rule and zeros were bisected
+        calls = 0
+
+        def h(x):
+            nonlocal calls
+            calls += 1
+            return math.sin(x * x)
+
+        hake_from_integrand(h)
+        assert calls <= 150_000
+
+    def test_non_finite_lobe_raises(self):
+        calls = 0
+
+        def h(x):
+            nonlocal calls
+            calls += 1
+            return math.nan if abs(x - 7.0) < 0.05 else math.sin(x * x)
+
+        with pytest.raises(BudgetExceeded, match="non-finite") as info:
+            hake_from_integrand(h)
+        lo, hi = (float(v) for v in
+                  str(info.value).split("[")[1].rstrip("]").split(", "))
+        assert lo < 7.05 and hi > 6.95
+        assert calls < 10_000
+
+    def test_unresolved_lobe_hits_depth_cap(self):
+        # a convergent integral with an integrable singularity inside the
+        # first lobe: the interpolant converges too slowly near it for
+        # any depth to reach tol
+        with pytest.raises(BudgetExceeded, match="lobe depth cap"):
+            hake_from_integrand(
+                lambda x: math.sin(x) / (1.0 + x)
+                + 1e-3 * math.exp(-x) / math.sqrt(abs(x - 1.1)))
+
+    def test_large_integrand_stops(self):
+        # 1e12 sin(x^2) carries noise near 1e-2 in its values past x = 25,
+        # where x^2 is rounded before the sine, far above the default
+        # goal of 1e-11: bisection cannot reach it, and the table stops
+        # at its segment cap; a tol above the noise builds
+        calls = 0
+
+        def h(x):
+            nonlocal calls
+            calls += 1
+            if calls > 2_000_000:
+                raise RuntimeError("the lobe bisection did not stop")
+            return 1e12 * math.sin(x * x)
+
+        with pytest.raises(BudgetExceeded, match="lobe segment cap"):
+            hake_from_integrand(h)
+        calls = 0
+        assert hake_from_integrand(h, tol=1.0).total == pytest.approx(
+            1e12 * FRESNEL_TOTAL, rel=1e-14)
 
     def test_divergent_oscillation_rejected(self):
         with pytest.raises(NoLimitAtInfinity):
@@ -98,6 +209,20 @@ class TestHakeSettled:
         for x in (0.1, 1.0, 3.0, 12.0, 1e3):
             assert F(x) == pytest.approx(primitive(x), abs=1e-12)
         assert len(calls) == built
+
+    @pytest.mark.parametrize("h,primitive", [
+        (lambda x: math.exp(-x * x),
+         lambda x: math.sqrt(math.pi) / 2.0 * math.erf(x)),
+        (lambda x: 1.0 / (1.0 + x * x), math.atan),
+    ], ids=["gauss", "rational"])
+    def test_defect_bound_covers_error(self, h, primitive):
+        r = hake_from_integrand(h)
+        F = r.distribution.primitive
+        xs = np.concatenate([np.linspace(0.0, 12.0, 601),
+                             np.geomspace(12.0, 1e12, 50)]).tolist()
+        err = max(abs(F(x) - primitive(x)) for x in xs)
+        assert r.defect_bound > 0.0
+        assert err <= r.defect_bound
 
     def test_just_above_start(self):
         # the chart maps the next double above this a one ulp below u(a)
