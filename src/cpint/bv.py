@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .chart import INF, NEG_INF, compactify, decompactify, golden_max
-from .cfun import ContinuousFunctionBar
+from .cfun import _ROUNDOFF, ContinuousFunctionBar
 from .errors import BudgetExceeded, IntervalEmpty, MalformedPieces
 
 _MONO_SAMPLES = 65
@@ -350,8 +350,8 @@ _STEP = np.diff(np.eye(17)[:, ::2], axis=1)
 # oscillation too fast to resolve, to the nested difference, which costs
 # far fewer evaluations there.
 _RESIDUAL_SHARE = 1.0 / 16.0
-_GOAL = 0.1         # the loop stops when the estimates sum to tol * _GOAL
-_ROUNDOFF = 16 * 2.0 ** -52   # ... or to this share of sum |panel values|
+_GOAL = 0.1         # the loop stops when the estimates sum to tol * _GOAL,
+                    # or to _ROUNDOFF of sum |panel values|
 _DEPTH_CAP = 40     # bisections of one panel before BudgetExceeded
 
 

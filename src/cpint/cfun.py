@@ -9,6 +9,15 @@ of C0 over [-inf, inf] is not certifiable by any finite procedure, so
   limits along a geometric approach to +-inf, and
 * an oscillation audit on a dyadic refinement of the compact chart that
   flags jumps (oscillation that refuses to shrink under refinement).
+  Every cell of the audit grid descends at once, level by level, with
+  one array call for the midpoints of all unsettled cells.
+
+Array evaluation: an evaluator may carry an array form as its attribute
+``many``, a function from a float array of finite x to the float array
+of values, equal bit for bit to the scalar calls.  ``eval_many`` and
+``at_u_many`` use it, and fall back to one guarded scalar call per
+point on Python floats for an evaluator without one.  The pointwise
+algebra composes the array forms of its operands.
 """
 
 from __future__ import annotations
@@ -17,7 +26,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .chart import INF, NEG_INF, decompactify, scan_max, uniform_u_grid
+import numpy as np
+
+from .chart import (INF, NEG_INF, decompactify, decompactify_many, scan_max,
+                    uniform_u_grid)
 from .errors import BudgetExceeded, NoLimitAtInfinity, NotContinuous
 
 DEFAULT_TOL = 1e-10
@@ -30,6 +42,7 @@ _TAIL_EXPONENTS = range(34, 66)   # x = 2**k - 1 approaching infinity
 _STALL_LIMIT = 8            # consecutive non-shrinking refinements => jump
 _STALL_RATIO = 0.95         # "failed to shrink" threshold per refinement
 _DEPTH_CAP = 40             # bisections of one audit cell
+_ROUNDOFF = 16 * 2.0 ** -52   # relative roundoff of values, as a floor on tol
 
 
 def _safe(evaluator: Callable[[float], float], x: float) -> float:
@@ -38,6 +51,22 @@ def _safe(evaluator: Callable[[float], float], x: float) -> float:
     except (OverflowError, ValueError, ZeroDivisionError):
         return math.nan
     return v
+
+
+def _many(evaluator: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
+    """The evaluator at each x of a float array: its array form where it
+    carries one, else _safe at each x as a Python float."""
+    many = getattr(evaluator, "many", None)
+    if many is not None:
+        return many(xs)
+    return np.array([_safe(evaluator, x) for x in xs.tolist()], dtype=float)
+
+
+def _with_many(scalar: Callable[[float], float],
+               many: Callable[[np.ndarray], np.ndarray]):
+    """scalar, carrying many as its array form."""
+    scalar.many = many
+    return scalar
 
 
 @dataclass(frozen=True)
@@ -62,45 +91,87 @@ class ContinuousFunctionBar:
     def at_u(self, u: float) -> float:
         return self(decompactify(u))
 
+    def eval_many(self, xs: np.ndarray) -> np.ndarray:
+        """self(x) at each x of a float array, bit for bit."""
+        xs = np.asarray(xs, dtype=float)
+        ends = np.isinf(xs)
+        with np.errstate(all="ignore"):
+            if not ends.any():
+                return _many(self.evaluator, xs)
+            out = np.empty_like(xs)
+            out[xs == INF] = self.limit_pos
+            out[xs == NEG_INF] = self.limit_neg
+            out[~ends] = _many(self.evaluator, xs[~ends])
+        return out
+
+    def at_u_many(self, us: np.ndarray) -> np.ndarray:
+        """at_u at each u of a float array, bit for bit."""
+        return self.eval_many(decompactify_many(np.asarray(us, dtype=float)))
+
     # -- pointwise algebra (results inherit continuity; no re-audit) --
 
     def shifted(self, c: float) -> "ContinuousFunctionBar":
         ev = self.evaluator
-        return ContinuousFunctionBar(lambda x: _safe(ev, x) + c,
-                                     self.limit_neg + c, self.limit_pos + c)
+        return ContinuousFunctionBar(
+            _with_many(lambda x: _safe(ev, x) + c,
+                       lambda xs: _many(ev, xs) + c),
+            self.limit_neg + c, self.limit_pos + c)
 
     def scaled(self, a: float) -> "ContinuousFunctionBar":
         ev = self.evaluator
-        return ContinuousFunctionBar(lambda x: a * _safe(ev, x),
-                                     a * self.limit_neg, a * self.limit_pos)
+        return ContinuousFunctionBar(
+            _with_many(lambda x: a * _safe(ev, x),
+                       lambda xs: a * _many(ev, xs)),
+            a * self.limit_neg, a * self.limit_pos)
 
     def plus(self, other: "ContinuousFunctionBar") -> "ContinuousFunctionBar":
         ea, eb = self.evaluator, other.evaluator
-        return ContinuousFunctionBar(lambda x: _safe(ea, x) + _safe(eb, x),
-                                     self.limit_neg + other.limit_neg,
-                                     self.limit_pos + other.limit_pos)
+        return ContinuousFunctionBar(
+            _with_many(lambda x: _safe(ea, x) + _safe(eb, x),
+                       lambda xs: _many(ea, xs) + _many(eb, xs)),
+            self.limit_neg + other.limit_neg,
+            self.limit_pos + other.limit_pos)
 
     def translated(self, t: float) -> "ContinuousFunctionBar":
         ev = self.evaluator
-        return ContinuousFunctionBar(lambda x: _safe(ev, x - t),
-                                     self.limit_neg, self.limit_pos)
+        return ContinuousFunctionBar(
+            _with_many(lambda x: _safe(ev, x - t),
+                       lambda xs: _many(ev, xs - t)),
+            self.limit_neg, self.limit_pos)
+
+    # max(p, q) keeps p unless q > p, and min(p, q) unless q < p; the
+    # array forms keep that order, for NaN and signed zeros alike
 
     def pointwise_max(self, other: "ContinuousFunctionBar") -> "ContinuousFunctionBar":
         ea, eb = self.evaluator, other.evaluator
-        return ContinuousFunctionBar(lambda x: max(_safe(ea, x), _safe(eb, x)),
-                                     max(self.limit_neg, other.limit_neg),
-                                     max(self.limit_pos, other.limit_pos))
+
+        def many(xs):
+            p, q = _many(ea, xs), _many(eb, xs)
+            return np.where(q > p, q, p)
+
+        return ContinuousFunctionBar(
+            _with_many(lambda x: max(_safe(ea, x), _safe(eb, x)), many),
+            max(self.limit_neg, other.limit_neg),
+            max(self.limit_pos, other.limit_pos))
 
     def pointwise_min(self, other: "ContinuousFunctionBar") -> "ContinuousFunctionBar":
         ea, eb = self.evaluator, other.evaluator
-        return ContinuousFunctionBar(lambda x: min(_safe(ea, x), _safe(eb, x)),
-                                     min(self.limit_neg, other.limit_neg),
-                                     min(self.limit_pos, other.limit_pos))
+
+        def many(xs):
+            p, q = _many(ea, xs), _many(eb, xs)
+            return np.where(q < p, q, p)
+
+        return ContinuousFunctionBar(
+            _with_many(lambda x: min(_safe(ea, x), _safe(eb, x)), many),
+            min(self.limit_neg, other.limit_neg),
+            min(self.limit_pos, other.limit_pos))
 
     def pointwise_abs(self) -> "ContinuousFunctionBar":
         ev = self.evaluator
-        return ContinuousFunctionBar(lambda x: abs(_safe(ev, x)),
-                                     abs(self.limit_neg), abs(self.limit_pos))
+        return ContinuousFunctionBar(
+            _with_many(lambda x: abs(_safe(ev, x)),
+                       lambda xs: np.abs(_many(ev, xs))),
+            abs(self.limit_neg), abs(self.limit_pos))
 
 
 def _tail_limit(evaluator, sign: int, tol: float,
@@ -120,58 +191,77 @@ def _tail_limit(evaluator, sign: int, tol: float,
     return limit
 
 
-def _audit_cell(feval_u, ua, va, ub, vb, tol, coord=decompactify) -> None:
-    """Worst-child dyadic descent; a jump keeps its oscillation under
-    refinement and trips the stall counter.  `coord` maps the audit
-    coordinate back to x for error reporting."""
-    stall = 0
-    prev_osc = None
-    osc = 0.0
-    um = 0.5 * (ua + ub)
+def _audit_grid(feval_many, grid: np.ndarray, tol: float,
+                coord=decompactify) -> None:
+    """Oscillation audit: evaluate the grid in one call, then descend into
+    every cell at once, one call of feval_many per level for the
+    midpoints of all unsettled cells.
+
+    A cell settles when the oscillation over its ends and midpoint is
+    within tol, floored at _ROUNDOFF of the largest |grid value|; else it
+    keeps its worst child, the half whose ends differ more.  A jump keeps
+    its oscillation under refinement: a cell still unsettled after
+    _DEPTH_CAP levels whose last _STALL_LIMIT levels did not shrink it
+    below _STALL_RATIO of the level before is reported, and so is a
+    non-finite value.  Every cell visits the points it would visit on its
+    own, and the leftmost failing cell is reported, as a left-to-right
+    pass would; the cells right of a failure are dropped from the next
+    level on.  `coord` maps the audit coordinate back to x for error
+    reporting."""
+    vals = feval_many(grid)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        x = coord(float(grid[bad[0]]))
+        raise NotContinuous(f"evaluator undefined at x={x!r}", where=x)
+    tol = max(tol, _ROUNDOFF * float(np.abs(vals).max()))
+    ua, va, ub, vb = grid[:-1], vals[:-1], grid[1:], vals[1:]
+    stall = np.zeros(len(ua), dtype=int)
+    osc = um = None
+    failure = None
     for _ in range(_DEPTH_CAP):
-        um = 0.5 * (ua + ub)
-        vm = feval_u(um)
-        if math.isnan(vm) or math.isinf(vm):
-            raise NotContinuous(f"evaluator undefined near x={coord(um)!r}",
-                                where=coord(um))
-        osc = max(va, vm, vb) - min(va, vm, vb)
-        if osc <= tol:
-            return
-        if prev_osc is not None:
-            if osc > _STALL_RATIO * prev_osc:
-                stall += 1
-            else:
-                stall = 0
         prev_osc = osc
-        if abs(vm - va) >= abs(vb - vm):
-            ub, vb = um, vm
-        else:
-            ua, va = um, vm
-    # At the depth cap the cell is astronomically small.  A jump keeps
-    # its oscillation to the very end; a continuous function, even a
-    # rapidly oscillating one, has started shrinking by now.  The stall
+        um = 0.5 * (ua + ub)
+        vm = feval_many(um)
+        bad = np.flatnonzero(~np.isfinite(vm))
+        if bad.size:
+            j = bad[0]
+            x = coord(float(um[j]))
+            failure = NotContinuous(f"evaluator undefined near x={x!r}",
+                                    where=x)
+            ua, va, ub, vb, um, vm, stall = (
+                a[:j] for a in (ua, va, ub, vb, um, vm, stall))
+            if prev_osc is not None:
+                prev_osc = prev_osc[:j]
+        osc = (np.maximum(np.maximum(va, vm), vb)
+               - np.minimum(np.minimum(va, vm), vb))
+        if prev_osc is not None:
+            stall = np.where(osc > _STALL_RATIO * prev_osc, stall + 1, 0)
+        left = np.abs(vm - va) >= np.abs(vb - vm)
+        ua, va, ub, vb = (np.where(left, ua, um), np.where(left, va, vm),
+                          np.where(left, um, ub), np.where(left, vm, vb))
+        open_ = ~(osc <= tol)
+        ua, va, ub, vb, um, osc, stall = (
+            a[open_] for a in (ua, va, ub, vb, um, osc, stall))
+        if not len(ua):
+            break
+    # At the depth cap the cells left are astronomically small.  A jump
+    # keeps its oscillation to the very end; a continuous function, even
+    # a rapidly oscillating one, has started shrinking by now.  The stall
     # counter holds the length of the final non-shrinking run.
-    if stall >= _STALL_LIMIT:
+    stalled = np.flatnonzero(stall >= _STALL_LIMIT)
+    if stalled.size:
+        j = stalled[0]
+        x = coord(float(um[j]))
         raise NotContinuous(
-            f"oscillation {osc:g} not shrinking near x={coord(um)!r}",
-            where=coord(um))
-
-
-def _audit_grid(feval, grid, tol, coord=decompactify) -> None:
-    """Oscillation audit: evaluate the grid, then descend into each cell."""
-    vals = [feval(t) for t in grid]
-    for t, v in zip(grid, vals):
-        if math.isnan(v):
-            raise NotContinuous(f"evaluator undefined at x={coord(t)!r}",
-                                where=coord(t))
-    for i in range(len(grid) - 1):
-        _audit_cell(feval, grid[i], vals[i], grid[i + 1], vals[i + 1],
-                    tol, coord)
+            f"oscillation {float(osc[j]):g} not shrinking near x={x!r}",
+            where=x)
+    if failure is not None:
+        raise failure
 
 
 def _audited(F: "ContinuousFunctionBar", tol: float) -> "ContinuousFunctionBar":
     """F, once the oscillation audit over the whole chart has passed."""
-    _audit_grid(F.at_u, uniform_u_grid(_AUDIT_GRID), tol)
+    _audit_grid(F.at_u_many, np.array(uniform_u_grid(_AUDIT_GRID)), tol)
     return F
 
 
@@ -185,8 +275,8 @@ def audit_on_interval(fn: Callable[[float], float], a: float, b: float,
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("audit interval must be finite with a < b")
     step = (b - a) / (_INTERVAL_GRID - 1)
-    xs = [a + i * step for i in range(_INTERVAL_GRID)]
-    _audit_grid(lambda t: _safe(fn, t), xs, tol, coord=lambda t: t)
+    xs = a + np.arange(_INTERVAL_GRID) * step
+    _audit_grid(lambda t: _many(fn, t), xs, tol, coord=lambda t: t)
 
 
 def build_continuous(evaluator: Callable[[float], float],
@@ -211,7 +301,7 @@ def extremes(F: ContinuousFunctionBar) -> tuple[float, float]:
     cells around the surviving local extrema.
     """
     grid = uniform_u_grid(_EXTREMES_GRID)
-    vals = [F.at_u(u) for u in grid]
+    vals = F.at_u_many(np.array(grid)).tolist()
     for v in vals:
         if math.isnan(v):
             raise BudgetExceeded("evaluator undefined inside extremes scan")

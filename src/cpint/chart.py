@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
 INF = math.inf
 NEG_INF = -math.inf
 
@@ -34,6 +36,15 @@ def decompactify(u: float) -> float:
     if u <= -1.0:
         return NEG_INF
     return u / (1.0 - abs(u))
+
+
+def decompactify_many(us: np.ndarray) -> np.ndarray:
+    """decompactify at each u of a float array, bit for bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = us / (1.0 - np.abs(us))
+    xs[us >= 1.0] = INF
+    xs[us <= -1.0] = NEG_INF
+    return xs
 
 
 def uniform_u_grid(n: int) -> list[float]:

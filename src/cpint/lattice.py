@@ -14,6 +14,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .cfun import DEFAULT_TOL, ContinuousFunctionBar
 from .chart import decompactify, uniform_u_grid
 from .errors import BudgetExceeded
@@ -98,6 +100,11 @@ class AbsNormResult:
     levels_used: int
 
 
+def _variation_sum(vals: np.ndarray) -> float:
+    """sum |v[i+1] - v[i]|, added left to right in Python floats."""
+    return sum(np.abs(np.diff(vals)).tolist())
+
+
 def abs_norm(f: Distribution, tol: float = DEFAULT_TOL) -> AbsNormResult:
     """Variation of the primitive by dyadic partition sums in the chart.
 
@@ -109,26 +116,21 @@ def abs_norm(f: Distribution, tol: float = DEFAULT_TOL) -> AbsNormResult:
     """
     F = f.primitive
     level = _ABS_START_LEVEL
-    us = uniform_u_grid(2 ** level + 1)
-    vals = [F.at_u(u) for u in us]
-    prev_sum = sum(abs(b - a) for a, b in zip(vals, vals[1:]))
+    us = np.array(uniform_u_grid(2 ** level + 1))
+    vals = F.at_u_many(us)
+    prev_sum = _variation_sum(vals)
     growing_run = 0
     prev_inc = None
     settled = 0
     while level < _ABS_MAX_LEVEL:
         level += 1
-        new_us = []
-        new_vals = []
-        for i in range(len(us) - 1):
-            um = 0.5 * (us[i] + us[i + 1])
-            new_us.append(um)
-            new_vals.append(F.at_u(um))
-        merged_us = [None] * (len(us) + len(new_us))
-        merged_vals = [None] * len(merged_us)
-        merged_us[::2], merged_us[1::2] = us, new_us
-        merged_vals[::2], merged_vals[1::2] = vals, new_vals
+        mids = 0.5 * (us[:-1] + us[1:])
+        merged_us = np.empty(2 * len(us) - 1)
+        merged_vals = np.empty_like(merged_us)
+        merged_us[::2], merged_us[1::2] = us, mids
+        merged_vals[::2], merged_vals[1::2] = vals, F.at_u_many(mids)
         us, vals = merged_us, merged_vals
-        cur = sum(abs(b - a) for a, b in zip(vals, vals[1:]))
+        cur = _variation_sum(vals)
         inc = cur - prev_sum
         if inc <= tol * (1.0 + cur):
             settled += 1

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .bv import BVFunction, Piece, normalize_nbv, rs_integral
 from .cfun import (DEFAULT_TOL, ContinuousFunctionBar, TestFunction,
                    audit_on_interval, _safe)
@@ -149,7 +151,7 @@ def second_mvt_xi(f: Distribution, g: BVFunction,
         return ga * F(x) + gb * (F.limit_pos - F(x)) - total
 
     grid = uniform_u_grid(4097)
-    vals = [F.at_u(u) - target for u in grid]
+    vals = (F.at_u_many(np.array(grid)) - target).tolist()
     u = scan_root(lambda t: F.at_u(t) - target, grid, vals, tol)
     if u is None:
         raise ResidualTooLarge("no xi found: engine inconsistency")

@@ -2,10 +2,12 @@
 
 The integral itself is always endpoint evaluation; this module only
 builds primitives, each as a table of Chebyshev series, one row per
-panel, so that evaluating a primitive calls no integrand.  For
-integrands with a settling cumulative integral the Stieltjes panel heap
-of bv integrates h against the chart, and the table interpolates h on
-the final panels.  For oscillatory integrands whose cumulative integral
+panel, so that evaluating a primitive calls no integrand.  Each table
+also has an array form (see cfun), one vectorised pass over all points
+that equals the scalar evaluator bit for bit.  For integrands with a
+settling cumulative integral the Stieltjes panel heap of bv integrates
+h against the chart, and the table interpolates h on the final
+panels.  For oscillatory integrands whose cumulative integral
 converges conditionally (the interesting case), the integrand is
 partitioned at its sign changes, each lobe is interpolated at 20
 Gauss-Legendre nodes, and the tail limit is extracted by accelerating
@@ -78,11 +80,15 @@ def _primitive_table(knots: list[float], rows: list[np.ndarray]):
     that vanishes at knots[i].  Each row is offset by the sum of the rows
     to its left (T_k(1) = 1, so a row sums to its value at its right
     end).  A point is bisected to its panel and summed by Clenshaw's
-    recurrence in floats; outside the knots the end panels extrapolate."""
+    recurrence in floats; outside the knots the end panels extrapolate.
+    The evaluator's array form (see cfun) finds the panels by
+    searchsorted and runs the same float operations in the same order."""
     table = np.array(rows)
     ends = np.cumsum(table.sum(axis=1))
     table[1:, 0] += ends[:-1]
     last = len(rows) - 1
+    columns = table.T.copy()     # columns[k] holds coefficient k of each row
+    edges = np.array(knots)
 
     def at(s: float) -> float:
         i = min(max(bisect_right(knots, s) - 1, 0), last)
@@ -95,6 +101,18 @@ def _primitive_table(knots: list[float], rows: list[np.ndarray]):
             b1, b2 = ck + t2 * b1 - b2, b1
         return c[0] + t * b1 - b2
 
+    def at_many(s: np.ndarray) -> np.ndarray:
+        i = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, last)
+        lo, hi = edges[i], edges[i + 1]
+        t = (2.0 * s - lo - hi) / (hi - lo)
+        t2 = t + t
+        c = columns[:, i]
+        b1 = b2 = np.zeros_like(t)
+        for ck in c[:0:-1]:
+            b1, b2 = ck + t2 * b1 - b2, b1
+        return c[0] + t * b1 - b2
+
+    at.many = at_many
     return at, float(ends[-1])
 
 
@@ -298,6 +316,14 @@ def _settled_primitive(integrand, a: float, tol: float) -> HakeResult:
     def F(x: float) -> float:
         return 0.0 if x <= a else at_u(compactify(x))
 
+    def F_many(xs: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(xs)
+        right = ~(xs <= a)
+        x = xs[right]
+        out[right] = at_u.many(x / (1.0 + np.abs(x)))   # compactify
+        return out
+
+    F.many = F_many
     dist = distribution_from_evaluator(F, 0.0, total, tol)
     return HakeResult(dist, total, 0, math.inf,
                       math.fsum(-p[0] for p in heap))
@@ -307,9 +333,11 @@ def hake_from_integrand(integrand, a: float = 0.0,
                         tol: float = DEFAULT_TOL) -> HakeResult:
     """Primitive of an integrand on [a, inf), extended by 0 left of a.
 
-    Non-oscillatory integrands are integrated to tol by the Stieltjes
-    panel heap in the compact chart (see _settled_primitive); h is
-    evaluated at a and must be finite there, else BudgetExceeded.
+    A probe of 4,096 points on [a, a + _SCAN_WINDOW], stopped at the
+    first sign change, picks the path.  Non-oscillatory integrands are
+    integrated to tol by the Stieltjes panel heap in the compact chart
+    (see _settled_primitive); h is evaluated at a and must be finite
+    there, else BudgetExceeded.
     Oscillatory ones are partitioned at sign changes, found by Illinois
     regula falsi; each lobe is interpolated at 20 Gauss-Legendre nodes,
     and bisected until the interpolant's last coefficients meet the goal
@@ -320,15 +348,19 @@ def hake_from_integrand(integrand, a: float = 0.0,
     primitive follows a smooth decaying tail model.  A non-finite value
     of h in a lobe, a segment past bv's depth cap, or a lobe table past
     _SEGMENT_CAP rows raises BudgetExceeded.  On both paths the primitive
-    is a table of Chebyshev series and evaluating it calls no integrand.
-    The sup-norm gap between the stored and the true primitive is
-    estimated by defect_bound on the result; the total over [a, inf) is
-    not affected by the tail model.
+    is a table of Chebyshev series with an array form, and evaluating it
+    calls no integrand.  The sup-norm gap between the stored and the
+    true primitive is estimated by defect_bound on the result; the total
+    over [a, inf) is not affected by the tail model.
     """
-    # probe for oscillation: any sign change in the scan window?
-    probe = [integrand(x)
-             for x in np.linspace(a, a + _SCAN_WINDOW, 4096).tolist()]
-    if not any(u * v < 0.0 for u, v in zip(probe, probe[1:])):
+    # probe for oscillation, up to the first sign change in the scan window
+    probe = map(integrand, np.linspace(a, a + _SCAN_WINDOW, 4096).tolist())
+    prev = next(probe)
+    for v in probe:
+        if prev * v < 0.0:
+            break
+        prev = v
+    else:
         return _settled_primitive(integrand, a, tol)
 
     total, zs, sums, knots, rows = _oscillatory_total(
@@ -354,5 +386,17 @@ def hake_from_integrand(integrand, a: float = 0.0,
             return total - tail_cut * (cutoff / x) ** _MODEL_DECAY
         return at_x(x)
 
+    def F_many(xs: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(xs)
+        right = ~(xs <= a)
+        tail = right & (xs >= cutoff)
+        mid = right & ~tail
+        out[mid] = at_x.many(xs[mid])
+        # numpy's power is not libm's pow, which the scalar ** calls
+        decay = [r ** _MODEL_DECAY for r in (cutoff / xs[tail]).tolist()]
+        out[tail] = total - tail_cut * np.array(decay, dtype=float)
+        return out
+
+    F.many = F_many
     dist = distribution_from_evaluator(F, 0.0, total, tol)
     return HakeResult(dist, total, len(zs) - 1, cutoff, defect)

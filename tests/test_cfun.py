@@ -1,12 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpint.cfun import (_PROFILE_MASS, ContinuousFunctionBar, audit_on_interval,
-                        build_continuous, bump, delta_sequence, extremes,
-                        sup_norm)
+from cpint.cfun import (_AUDIT_GRID, _DEPTH_CAP, _INTERVAL_GRID,
+                        _PROFILE_MASS, _ROUNDOFF, _STALL_LIMIT, _STALL_RATIO,
+                        DEFAULT_TOL, ContinuousFunctionBar, _tail_limit,
+                        audit_on_interval, build_continuous, bump,
+                        delta_sequence, extremes, sup_norm)
+from cpint.chart import decompactify, uniform_u_grid
 from cpint.errors import NoLimitAtInfinity, NotContinuous
+from cpint.space import distribution_from_evaluator, hake_extend
 
 
 class TestBuildContinuous:
@@ -98,3 +103,230 @@ class TestAlgebra:
         top = F.pointwise_max(G)
         assert top(2.0) == abs(math.atan(2.0))
         assert top(-2.0) == abs(math.atan(-2.0))
+
+
+# ---------------------------------------------------------------------------
+# array forms and the lockstep audit
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _chart_points(seed: int) -> np.ndarray:
+    """The ends +-1, signed zeros, a fine grid and seeded draws in u."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[-1.0, 1.0, 0.0, -0.0],
+                           np.linspace(-1.0, 1.0, 2049),
+                           rng.uniform(-1.0, 1.0, 2000)])
+
+
+def _patchy(x: float) -> float:
+    # NaN where it raises or returns NaN, -0.0 far left
+    if 1.0 < x < 2.0:
+        raise ValueError("undefined")
+    if 2.0 <= x < 2.5:
+        return 1.0 / 0.0          # ZeroDivisionError
+    if 2.5 <= x < 3.0:
+        return math.nan
+    if 3.0 <= x < 3.5:
+        return math.exp(1e4)      # OverflowError
+    if x < -3.0:
+        return -0.0
+    return math.sin(x)
+
+
+class TestArrayForms:
+    def test_scalar_fallback_sees_python_floats(self):
+        def ev(x):
+            assert type(x) is float
+            return x
+        us = _chart_points(1)
+        F = ContinuousFunctionBar(ev, -1.0, 1.0)
+        assert (_bits(F.at_u_many(us))
+                == _bits([F.at_u(u) for u in us.tolist()])).all()
+
+    def test_raising_evaluator_gives_nan(self):
+        F = ContinuousFunctionBar(_patchy, -0.0, 0.0)
+        xs = np.array([1.5, 2.2, 2.7, 3.2, -4.0, 0.5, math.inf, -math.inf])
+        out = F.eval_many(xs)
+        assert np.isnan(out[:4]).all()
+        assert _bits(out[4:]).tolist() == _bits(
+            [-0.0, math.sin(0.5), 0.0, -0.0]).tolist()
+
+    def test_pointwise_algebra_bit_for_bit(self):
+        from cpint.quadrature import hake_from_integrand
+        A = ContinuousFunctionBar(math.atan, -math.pi / 2, math.pi / 2)
+        P = ContinuousFunctionBar(_patchy, -0.0, 0.0)
+        Z = ContinuousFunctionBar(lambda x: 0.0, 0.0, 0.0)
+        N = ContinuousFunctionBar(lambda x: -0.0, -0.0, -0.0)
+        # a table primitive carries its own array form
+        T = hake_from_integrand(
+            lambda x: math.exp(-x * x)).distribution.primitive
+        ops = {
+            "plus": lambda f, g: f.plus(g),
+            "max": lambda f, g: f.pointwise_max(g),
+            "min": lambda f, g: f.pointwise_min(g),
+            "scaled": lambda f, g: f.scaled(-1.5).plus(g.scaled(0.0)),
+            "shifted": lambda f, g: f.shifted(-0.0).plus(g.shifted(2.0)),
+            "translated": lambda f, g: f.translated(1.25).pointwise_max(
+                g.translated(-3.5)),
+            "abs": lambda f, g: f.pointwise_abs().pointwise_min(
+                g.pointwise_abs()),
+        }
+        operands = [A, P, Z, N, T]
+        us = _chart_points(2)
+        for name, op in ops.items():
+            for f in operands:
+                for g in operands:
+                    H = op(f, g)
+                    assert (_bits(H.at_u_many(us)) == _bits(
+                        [H.at_u(u) for u in us.tolist()])).all(), name
+
+    def test_nested_composition_bit_for_bit(self):
+        A = ContinuousFunctionBar(math.atan, -math.pi / 2, math.pi / 2)
+        P = ContinuousFunctionBar(_patchy, -0.0, 0.0)
+        H = (A.scaled(-2.0).plus(P).pointwise_max(A.translated(0.5))
+             .pointwise_min(P.shifted(1.0)).pointwise_abs().shifted(-1.0))
+        us = _chart_points(3)
+        assert (_bits(H.at_u_many(us))
+                == _bits([H.at_u(u) for u in us.tolist()])).all()
+
+
+def _reference_audit(feval, grid, tol, coord=decompactify):
+    """The oscillation audit as one left-to-right pass, one cell and one
+    scalar call at a time: the reference for cfun's lockstep descent."""
+    vals = [feval(t) for t in grid]
+    for t, v in zip(grid, vals):
+        if not math.isfinite(v):
+            raise NotContinuous(f"evaluator undefined at x={coord(t)!r}",
+                                where=coord(t))
+    tol = max(tol, _ROUNDOFF * max(abs(v) for v in vals))
+    for i in range(len(grid) - 1):
+        ua, va, ub, vb = grid[i], vals[i], grid[i + 1], vals[i + 1]
+        stall = 0
+        prev_osc = None
+        for _ in range(_DEPTH_CAP):
+            um = 0.5 * (ua + ub)
+            vm = feval(um)
+            if not math.isfinite(vm):
+                raise NotContinuous(
+                    f"evaluator undefined near x={coord(um)!r}",
+                    where=coord(um))
+            osc = max(va, vm, vb) - min(va, vm, vb)
+            if osc <= tol:
+                break
+            if prev_osc is not None:
+                stall = stall + 1 if osc > _STALL_RATIO * prev_osc else 0
+            prev_osc = osc
+            if abs(vm - va) >= abs(vb - vm):
+                ub, vb = um, vm
+            else:
+                ua, va = um, vm
+        else:
+            if stall >= _STALL_LIMIT:
+                raise NotContinuous(
+                    f"oscillation {osc:g} not shrinking near x={coord(um)!r}",
+                    where=coord(um))
+
+
+def _counted(fn):
+    seen = []
+
+    def ev(x):
+        seen.append(x)
+        return fn(x)
+    return ev, seen
+
+
+def _ramp(x: float) -> float:
+    return 0.8 * math.atan(1.7 * (x - 0.4)) + 0.3
+
+
+def _nan_cell(i: int):
+    """x-interval around the midpoint of audit cell i, clear of its ends."""
+    grid = uniform_u_grid(_AUDIT_GRID)
+    q = 0.25 * (grid[i + 1] - grid[i])
+    um = 0.5 * (grid[i] + grid[i + 1])
+    return decompactify(um - q), decompactify(um + q)
+
+
+class TestLockstepAudit:
+    def test_same_calls_as_reference(self):
+        ev, seen = _counted(_ramp)
+        hake_extend(ev)
+        ref_ev, ref_seen = _counted(_ramp)
+        F = ContinuousFunctionBar(ref_ev, _tail_limit(ref_ev, -1, DEFAULT_TOL),
+                                  _tail_limit(ref_ev, +1, DEFAULT_TOL))
+        _reference_audit(F.at_u, uniform_u_grid(_AUDIT_GRID), DEFAULT_TOL)
+        assert len(seen) == len(ref_seen) > 10 * _AUDIT_GRID
+        assert sorted(seen) == sorted(ref_seen)
+
+    def test_interval_audit_same_calls_as_reference(self):
+        ev, seen = _counted(math.sin)
+        audit_on_interval(ev, -2.0, 3.0)
+        ref_ev, ref_seen = _counted(math.sin)
+        step = 5.0 / (_INTERVAL_GRID - 1)
+        _reference_audit(ref_ev, [-2.0 + i * step
+                                  for i in range(_INTERVAL_GRID)],
+                         DEFAULT_TOL, coord=lambda t: t)
+        assert sorted(seen) == sorted(ref_seen)
+
+    @pytest.mark.parametrize("case", ["one_jump", "two_jumps", "nan_in_cell",
+                                      "jump_left_of_nan"])
+    def test_same_error_as_reference(self, case):
+        lo, hi = _nan_cell(700)
+        fns = {
+            "one_jump": lambda x: _ramp(x) + (0.5 if x >= 0.3 else 0.0),
+            "two_jumps": lambda x: _ramp(x) + (0.5 if x >= -2.0 else 0.0)
+            + (0.25 if x >= 5.0 else 0.0),
+            "nan_in_cell": lambda x: math.nan if lo < x < hi else _ramp(x),
+            # the NaN is met at the first level, the jump left of it only
+            # at the depth cap: the jump is reported
+            "jump_left_of_nan": lambda x: (math.nan if lo < x < hi else
+                                           _ramp(x) + (0.5 if x >= -2.0
+                                                       else 0.0)),
+        }
+        fn = fns[case]
+        limits = (fn(-1e300), fn(1e300))
+        with pytest.raises(NotContinuous) as lib:
+            build_continuous(fn, *limits)
+        with pytest.raises(NotContinuous) as ref:
+            _reference_audit(ContinuousFunctionBar(fn, *limits).at_u,
+                             uniform_u_grid(_AUDIT_GRID), DEFAULT_TOL)
+        assert str(lib.value) == str(ref.value)
+        assert lib.value.where == ref.value.where
+        assert ("undefined" in str(lib.value)) == (case == "nan_in_cell")
+
+    def test_rejects_infinite_grid_value(self):
+        F = lambda x: math.inf if x == 0.0 else math.atan(x)
+        with pytest.raises(NotContinuous) as err:
+            distribution_from_evaluator(F, -math.pi / 2, math.pi / 2)
+        assert err.value.where == 0.0
+
+    def test_rejects_infinite_midpoint_value(self):
+        lo, hi = _nan_cell(600)
+        F = lambda x: -math.inf if lo < x < hi else math.atan(x)
+        with pytest.raises(NotContinuous, match="undefined near") as err:
+            build_continuous(F, -math.pi / 2, math.pi / 2)
+        assert lo < err.value.where < hi
+
+    def test_roundoff_floor_scales_with_values(self):
+        # the primitive of 1e8 exp(-x^2), a Chebyshev table, carries
+        # roundoff near 1e-8 that refinement does not remove; the floor,
+        # 16 eps of the largest value, is near 3e-7: the roundoff passes
+        # the audit, a relative jump of 1e-5 does not
+        from cpint.quadrature import hake_from_integrand
+        T = hake_from_integrand(
+            lambda x: 1e8 * math.exp(-x * x)).distribution.primitive
+        with pytest.raises(NotContinuous):
+            build_continuous(
+                lambda x: T(x) * (1.0 + (1e-5 if x >= 0.3 else 0.0)),
+                0.0, T.limit_pos * (1.0 + 1e-5))
+
+    def test_tol_kept_at_unit_scale(self):
+        # values of size 1 floor tol at 3.6e-15: a step of twice tol is
+        # still a jump
+        with pytest.raises(NotContinuous):
+            build_continuous(lambda x: 1.0 + (2e-10 if x >= 0.3 else 0.0),
+                             1.0, 1.0 + 2e-10)

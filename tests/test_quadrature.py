@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from cpint.errors import BudgetExceeded, NoLimitAtInfinity, NotContinuous
+from cpint.errors import BudgetExceeded, NoLimitAtInfinity
 from cpint.quadrature import (_lobe_rows, _primitive_table,
                               _scan_sign_changes, epsilon_limit,
                               hake_from_integrand)
@@ -242,8 +242,9 @@ class TestHakeSettled:
 
     def test_large_integrand_stops(self):
         # 1e8 exp(-x^2) carries roundoff near 1e-8, far above the default
-        # goal of 1e-11: the heap stops at the roundoff of its values and
-        # the audit at tol reports that roundoff; a tol above it builds
+        # goal of 1e-11: the heap stops at the roundoff of its values, and
+        # the audit's floor at the roundoff of the primitive's values
+        # tells that roundoff from a jump, at the default tol and above it
         calls = 0
 
         def h(x):
@@ -253,11 +254,10 @@ class TestHakeSettled:
                 raise RuntimeError("the panel heap did not stop")
             return 1e8 * math.exp(-x * x)
 
-        with pytest.raises(NotContinuous):
-            hake_from_integrand(h)
-        calls = 0
-        assert hake_from_integrand(h, tol=1e-6).total == pytest.approx(
-            1e8 * math.sqrt(math.pi) / 2.0, abs=1e-6)
+        for tol in (1e-10, 1e-6):
+            calls = 0
+            assert hake_from_integrand(h, tol=tol).total == pytest.approx(
+                1e8 * math.sqrt(math.pi) / 2.0, rel=1e-14)
 
     def test_unresolved_wiggle_hits_panel_cap(self):
         # positive, but 1e4 wiggles on [0, 6] to resolve to tol
@@ -270,3 +270,55 @@ class TestHakeSettled:
         with np.errstate(divide="ignore", invalid="ignore"), \
                 pytest.raises(BudgetExceeded, match="non-finite"):
             hake_from_integrand(lambda x: np.exp(-x) / np.sqrt(x))
+
+
+class TestArrayForm:
+    """Both tables evaluate arrays bit for bit as the scalar primitive."""
+
+    @pytest.mark.parametrize("h,a", [
+        (lambda x: math.exp(-x * x), 0.5),
+        (lambda x: 1.0 / (1.0 + x * x), -2.0),
+        (lambda x: math.sin(2.0 * x) / (1.0 + x), 0.0),
+        (lambda x: math.sin(1.3 * x * x), 1.0),
+    ], ids=["gauss", "rational", "sin_over_linear", "sin_square"])
+    def test_matches_scalar(self, h, a):
+        res = hake_from_integrand(h, a)
+        F = res.distribution.primitive
+        rng = np.random.default_rng(5)
+        edges = [a] + ([res.cutoff] if math.isfinite(res.cutoff) else [])
+        xs = np.concatenate([
+            [math.inf, -math.inf, 0.0, -0.0, math.nan],
+            [np.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)],
+            edges,
+            rng.uniform(a - 5.0, a + 3.0 * (res.cutoff if math.isfinite(
+                res.cutoff) else 40.0), 4000)])
+        us = np.concatenate([[-1.0, 1.0], np.linspace(-1.0, 1.0, 20001)])
+        for many, scalar in (
+                (F.eval_many(xs), [F(x) for x in xs.tolist()]),
+                (F.at_u_many(us), [F.at_u(u) for u in us.tolist()])):
+            assert (np.asarray(many).view(np.uint64)
+                    == np.array(scalar).view(np.uint64)).all()
+
+
+class TestProbe:
+    @pytest.mark.parametrize("h,oscillates", [
+        (math.sin, True), (lambda x: math.exp(-x * x), False)],
+        ids=["sin", "gauss"])
+    def test_probe_stops_at_first_sign_change(self, h, oscillates):
+        probe = np.linspace(0.0, 60.0, 4096).tolist()
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return h(x)
+
+        try:
+            hake_from_integrand(counted)
+        except NoLimitAtInfinity:     # sin has no limit
+            pass
+        vals = [h(x) for x in probe]
+        first = next((i for i in range(1, len(probe))
+                      if vals[i - 1] * vals[i] < 0.0), len(probe) - 1)
+        assert first == (215 if oscillates else 4095)
+        assert seen[:first + 1] == probe[:first + 1]
+        assert seen[first + 1] != probe[min(first + 1, len(probe) - 1)]
