@@ -14,6 +14,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -308,7 +309,7 @@ def from_callable(fn: Callable[[float], float], lo: float, hi: float,
 
 
 # ---------------------------------------------------------------------------
-# the Riemann-Stieltjes engine
+# the Riemann-Stieltjes engine, and the bisection loop of every table
 
 
 def _lagrange_basis(t: np.ndarray) -> np.ndarray:
@@ -350,9 +351,9 @@ _STEP = np.diff(np.eye(17)[:, ::2], axis=1)
 # oscillation too fast to resolve, to the nested difference, which costs
 # far fewer evaluations there.
 _RESIDUAL_SHARE = 1.0 / 16.0
-_GOAL = 0.1         # the loop stops when the estimates sum to tol * _GOAL,
-                    # or to _ROUNDOFF of sum |panel values|
-_DEPTH_CAP = 40     # bisections of one panel before BudgetExceeded
+_GOAL = 0.1         # _refine stops when the estimates sum to tol * _GOAL,
+                    # or to _ROUNDOFF of the summed scales
+_DEPTH_CAP = 40     # bisections of one segment before BudgetExceeded
 
 
 def _goal(tol: float, scale: float) -> float:
@@ -361,18 +362,16 @@ def _goal(tol: float, scale: float) -> float:
     return _GOAL * tol + _ROUNDOFF * scale
 
 
-def _panel_us(ua: float, ub: float) -> list[float]:
-    """The 17 nodes of the panel [ua, ub] in the u chart, ending at ua
-    and ub exactly."""
+def _panel(F, G, ua, left, ub, right):
+    """The Stieltjes rule of _refine: int F dG over [ua, ub] in the u
+    chart at the 17 panel nodes.  left and right are (F, G) at the ends;
+    the middle node's pair is the children's shared end.  None on a flat
+    stretch of G, which contributes nothing."""
+    (fa, ga), (fb, gb) = left, right
+    if ga == gb:
+        return None
     us = (0.5 * (ua + ub) + 0.5 * (ub - ua) * _NODES).tolist()
-    us[0], us[-1] = ua, ub
-    return us
-
-
-def _panel(F, G, ua, fa, ga, ub, fb, gb):
-    """int F dg over [ua, ub] in the u chart: value, error estimate, and
-    F and g at the middle node, which the bisection reuses."""
-    xs = [decompactify(u) for u in _panel_us(ua, ub)[1:-1]]
+    xs = [decompactify(u) for u in us[1:-1]]
     fg = np.array([[fa] + [F(x) for x in xs] + [fb],
                    [ga] + [G(x) for x in xs] + [gb]])
     fm, gm = fg[:, _MID]
@@ -380,18 +379,73 @@ def _panel(F, G, ua, fa, ga, ub, fb, gb):
     # panel's own variation rather than with |F| |g|
     d = fg - fg[:, _MID:_MID + 1]
     df, dg = d
-    value = fm * (gb - ga) + df @ _D_FINE @ dg
+    value = float(fm * (gb - ga) + df @ _D_FINE @ dg)
     # Stieltjes sum of what the coarse interpolants miss at the odd
     # nodes: |F - pF| against |dg| plus |g - pg| against |dF|
     miss = np.abs(d @ _RESIDUAL)
     steps = np.abs(d @ _STEP)
     residual = miss[0] @ steps[1] + miss[1] @ steps[0]
-    err = max(abs(df @ _D_NESTED @ dg), _RESIDUAL_SHARE * residual)
-    if not (math.isfinite(value) and math.isfinite(err)):
+    err = float(max(abs(df @ _D_NESTED @ dg), _RESIDUAL_SHARE * residual))
+    return value, err, abs(value), (float(fm), float(gm))
+
+
+def _refine(segments, tol: float, what: str, cap: float = math.inf,
+            x_of: Callable[[float], float] = decompactify):
+    """Worst-first bisection, the one adaptive integration loop: of
+    rs_integral and of both tables of quadrature.hake_from_integrand.
+
+    segments are (rule, lo, left, hi, right); rule(lo, left, hi, right)
+    is None where the segment adds nothing, else its value, error
+    estimate, scale (magnitude, for the roundoff floor) and the state at
+    its midpoint, which left and right carry at the ends.  The worst
+    segment is bisected until the estimates sum to _goal(tol, summed
+    scales).  A non-finite estimate or scale, a segment bisected
+    _DEPTH_CAP times, or more than cap segments raises BudgetExceeded on
+    x in [x_of(lo), x_of(hi)].  Returns the final (lo, hi, value),
+    unordered, and their summed estimate."""
+    heap = []
+    serial = count()
+
+    def fail(reason, lo, hi):
         raise BudgetExceeded(
-            f"non-finite Stieltjes panel on x in [{decompactify(ua)!r}, "
-            f"{decompactify(ub)!r}]")
-    return float(value), float(err), float(fm), float(gm)
+            f"{what} {reason} after {next(serial)} panels on x in "
+            f"[{x_of(lo)!r}, {x_of(hi)!r}]")
+
+    def push(rule, depth, lo, left, hi, right) -> float:
+        out = rule(lo, left, hi, right)
+        if out is None:
+            return 0.0
+        value, err, scale, mid = out
+        if not math.isfinite(err + scale):
+            fail("non-finite value", lo, hi)
+        heapq.heappush(heap, (-err, next(serial), value, scale, depth, rule,
+                              lo, left, mid, hi, right))
+        return err
+
+    err_sum = 0.0
+    for rule, lo, left, hi, right in segments:
+        err_sum += push(rule, 0, lo, left, hi, right)
+    goal = _goal(tol, 0.0)
+    while heap:
+        # the running sum drifts by roundoff of the largest estimates it
+        # held; decide on an exact one, renewed as the heap doubles, and
+        # on a goal no finer than the roundoff of the values
+        n = len(heap)
+        if err_sum <= goal or n & (n - 1) == 0:
+            err_sum = math.fsum([-p[0] for p in heap])
+            goal = _goal(tol, math.fsum([p[3] for p in heap]))
+            if err_sum <= goal:
+                break
+        neg_err, _, _, _, depth, rule, lo, left, mid, hi, right = \
+            heapq.heappop(heap)
+        if depth == _DEPTH_CAP:
+            fail(f"depth cap {_DEPTH_CAP} reached", lo, hi)
+        if n >= cap:
+            fail("segment cap reached", lo, hi)
+        m = 0.5 * (lo + hi)
+        err_sum += (neg_err + push(rule, depth + 1, lo, left, m, mid)
+                    + push(rule, depth + 1, m, mid, hi, right))
+    return [(p[6], p[9], p[2]) for p in heap], err_sum
 
 
 def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
@@ -402,9 +456,9 @@ def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
     at the integration endpoints (including jumps at +-inf) contribute
     the endpoint correction terms; the continuous monotone remainder is
     integrated by Chebyshev-Lobatto panels in the compact chart.  One
-    heap holds the panels of every piece; the panel with the largest
-    error estimate is bisected until the estimates sum to tol/10, or to
-    _ROUNDOFF of the summed |panel values| if that is coarser.
+    run of _refine holds the panels of every piece, bisected until the
+    estimates sum to tol/10, or to _ROUNDOFF of the summed |panel
+    values| if that is coarser.
     """
     if a > b:
         raise IntervalEmpty(f"rs_integral over [{a}, {b}]")
@@ -419,32 +473,18 @@ def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
     for p in g.breakpoints:
         if a < p < b:
             total += F(p) * (g.right_limit(p) - g.left_limit(p))
-    return total + math.fsum(p[2] for p in _panel_heap(F, g, a, b, tol))
 
-
-def _panel_heap(F, g: BVFunction, a: float, b: float, tol: float,
-                max_panels: float = math.inf) -> list[tuple]:
-    """The heap loop of rs_integral over [a, b], jumps of g left out:
-    the final panels (-err, serial, value, depth, G, ua, fa, ga, fm, gm,
-    ub, fb, gb).  tol is absolute, floored at _ROUNDOFF of the summed
-    |values|; BudgetExceeded past _DEPTH_CAP or max_panels."""
-    heap = []
-    serial = count()
-
-    def push(G, depth, ua, fa, ga, ub, fb, gb) -> float:
-        if ga == gb:
-            return 0.0  # flat stretch of a monotone piece
-        value, err, fm, gm = _panel(F, G, ua, fa, ga, ub, fb, gb)
-        heapq.heappush(heap, (-err, next(serial), value, depth, G,
-                              ua, fa, ga, fm, gm, ub, fb, gb))
-        return err
-
-    err_sum = 0.0
+    segments = []
     for piece in g.pieces:
         lo = max(piece.lo, a)
         hi = min(piece.hi, b)
         if lo >= hi:
             continue
+        ga = piece.lo_val if lo == piece.lo else piece.fn(lo)
+        gb = piece.hi_val if hi == piece.hi else piece.fn(hi)
+        left, right = (F(lo), ga), (F(hi), gb)
+        if ga == gb:
+            continue  # flat piece
 
         def G(x, piece=piece):
             if x <= piece.lo:
@@ -453,32 +493,7 @@ def _panel_heap(F, g: BVFunction, a: float, b: float, tol: float,
                 return piece.hi_val
             return piece.fn(x)
 
-        ga = piece.lo_val if lo == piece.lo else piece.fn(lo)
-        gb = piece.hi_val if hi == piece.hi else piece.fn(hi)
-        err_sum += push(G, 0, compactify(lo), F(lo), ga,
-                        compactify(hi), F(hi), gb)
-
-    goal = _goal(tol, 0.0)
-    while heap:
-        # the running sum drifts by roundoff of the largest estimates it
-        # held; decide on an exact one, renewed as the heap doubles, and
-        # on a goal no finer than the roundoff of the values
-        n = len(heap)
-        if err_sum <= goal or n & (n - 1) == 0:
-            err_sum = math.fsum(-p[0] for p in heap)
-            goal = _goal(tol, math.fsum(abs(p[2]) for p in heap))
-            if err_sum <= goal:
-                break
-        neg_err, _, _, depth, G, ua, fa, ga, fm, gm, ub, fb, gb = \
-            heapq.heappop(heap)
-        if depth == _DEPTH_CAP or n >= max_panels:
-            cap = (f"depth cap {_DEPTH_CAP}" if depth == _DEPTH_CAP
-                   else f"panel cap {max_panels}")
-            raise BudgetExceeded(
-                f"Stieltjes refinement {cap} reached on x in "
-                f"[{decompactify(ua)!r}, {decompactify(ub)!r}] after "
-                f"{next(serial)} panels")
-        um = 0.5 * (ua + ub)
-        err_sum += (neg_err + push(G, depth + 1, ua, fa, ga, um, fm, gm)
-                    + push(G, depth + 1, um, fm, gm, ub, fb, gb))
-    return heap
+        segments.append((partial(_panel, F, G), compactify(lo), left,
+                         compactify(hi), right))
+    panels, _ = _refine(segments, tol, "Stieltjes")
+    return total + math.fsum(value for _, _, value in panels)

@@ -1,4 +1,4 @@
-"""Continuous functions on the compactified real line, plus smooth bumps.
+"""Continuous functions on the compactified real line, plus bumps.
 
 A :class:`ContinuousFunctionBar` carries a pointwise evaluator on the
 finite reals together with its two limits at -inf and +inf.  Membership
@@ -18,6 +18,9 @@ of values, equal bit for bit to the scalar calls.  ``eval_many`` and
 ``at_u_many`` use it, and fall back to one guarded scalar call per
 point on Python floats for an evaluator without one.  The pointwise
 algebra composes the array forms of its operands.
+
+The bumps are C^inf except at their center, where phi' jumps (see
+:class:`TestFunction`); ``pair_with_test`` splits them there.
 """
 
 from __future__ import annotations
@@ -318,7 +321,7 @@ def sup_norm(F: ContinuousFunctionBar) -> float:
 
 
 # ---------------------------------------------------------------------------
-# smooth compactly supported test functions
+# compactly supported test functions, smooth off their center
 
 
 def _bump_profile(s: float) -> float:
@@ -335,7 +338,9 @@ _PROFILE_MASS = 0.2969910135518441
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth bump supported exactly on [center-width, center+width]."""
+    """Bump supported exactly on [center-width, center+width]: C^inf
+    except at the center, where phi' jumps from +amplitude e^-1 / width
+    to -amplitude e^-1 / width."""
 
     center: float
     width: float
@@ -362,7 +367,8 @@ class TestFunction:
 
 
 def bump(center: float, width: float, amplitude: float = 1.0) -> TestFunction:
-    """The standard smooth bump, rescaled to the given center and width."""
+    """The standard bump, rescaled to the given center and width; C^inf
+    except at the center, where phi' jumps (see TestFunction)."""
     return TestFunction(center, width, amplitude)
 
 

@@ -59,10 +59,12 @@ def integral_product(f: Distribution, g: BVFunction,
 
 def pair_with_test(f: Distribution, phi: TestFunction,
                    tol: float = DEFAULT_TOL) -> float:
-    """Action of f on a smooth test function: -int F phi' = -int F dphi.
+    """Action of f on a test function: -int F phi' = -int F dphi.
 
-    The bump is monotone on each side of its center, so as a BVFunction
-    it has four pieces: 0, rising to phi(center), falling, 0.
+    The bump is C^inf except at its center, where phi' jumps from
+    +a e^-1 / w to -a e^-1 / w, and monotone on each side of it.  So
+    the Stieltjes integral splits there: as a BVFunction phi has four
+    pieces, 0, rising to phi(center), falling, 0.
     """
     lo, hi = phi.support
     c, top = phi.center, phi(phi.center)

@@ -2,48 +2,43 @@
 
 The integral itself is always endpoint evaluation; this module only
 builds primitives, each as a table of Chebyshev series, one row per
-panel, so that evaluating a primitive calls no integrand.  Each table
+segment, so that evaluating a primitive calls no integrand.  Each table
 also has an array form (see cfun), one vectorised pass over all points
-that equals the scalar evaluator bit for bit.  For integrands with a
-settling cumulative integral the Stieltjes panel heap of bv integrates
-h against the chart, and the table interpolates h on the final
-panels.  For oscillatory integrands whose cumulative integral
-converges conditionally (the interesting case), the integrand is
-partitioned at its sign changes, each lobe is interpolated at 20
-Gauss-Legendre nodes, and the tail limit is extracted by accelerating
-the alternating series of lobe areas.
+that equals the scalar evaluator bit for bit.  Both tables come from
+the same 20-node Gauss segment rule, bisected by bv's worst-first loop.
+For integrands with a settling cumulative integral the rule integrates
+h (1+|x|)^2 over the compact chart in one run of the loop.  For
+oscillatory integrands whose cumulative integral converges
+conditionally (the interesting case), the integrand is partitioned at
+its sign changes, each lobe is one run of the loop, and the tail limit
+is extracted by accelerating the alternating series of lobe areas.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from numpy.polynomial import chebyshev, legendre
 
-from .bv import (_DEPTH_CAP, _NODES, _goal, _panel_heap, _panel_us,
-                 monotone)
+from .bv import _refine
 from .cfun import DEFAULT_TOL
 from .chart import compactify, decompactify
-from .errors import BudgetExceeded, NoLimitAtInfinity
+from .errors import NoLimitAtInfinity
 from .space import Distribution, distribution_from_evaluator
 
-# Chebyshev coefficients, on t in [-1, 1], of the antiderivative from -1
-# of the interpolant through values at the 17 panel nodes of bv
-_ANTIDERIVATIVE = chebyshev.chebint(
-    np.linalg.inv(chebyshev.chebvander(_NODES, len(_NODES) - 1)), lbnd=-1)
-# ... of the interpolant through values at 20 Gauss-Legendre nodes, and
-# of its antiderivative from -1, whose value at 1 is the Gauss rule
+# Chebyshev coefficients, on t in [-1, 1], of the interpolant through
+# values at 20 Gauss-Legendre nodes, and of its antiderivative from -1,
+# whose value at 1 is the Gauss rule
 _GAUSS_NODES = legendre.leggauss(20)[0]
-_LOBE_INTERPOLANT = np.linalg.inv(chebyshev.chebvander(_GAUSS_NODES, 19))
-_LOBE_ANTIDERIVATIVE = chebyshev.chebint(_LOBE_INTERPOLANT, lbnd=-1)
+_GAUSS_INTERPOLANT = np.linalg.inv(chebyshev.chebvander(_GAUSS_NODES, 19))
+_GAUSS_ANTIDERIVATIVE = chebyshev.chebint(_GAUSS_INTERPOLANT, lbnd=-1)
 
 _MAX_LOBES = 20000
-_SEGMENT_CAP = 2 * _MAX_LOBES   # rows of a lobe table
-_PANEL_CAP = 4096         # final panels of a settled primitive
+_SEGMENT_CAP = 2 * _MAX_LOBES   # rows of either table
 _SCAN_WINDOW = 60.0       # no sign change within this => not oscillatory
 _ACCEL_TAIL = 40          # partial sums fed to the epsilon algorithm
 _MODEL_DECAY = 3          # tail model exponent past the lobe cutoff
@@ -74,19 +69,22 @@ def epsilon_limit(partial_sums) -> float:
     return best
 
 
-def _primitive_table(knots: list[float], rows: list[np.ndarray]):
+def _primitive_table(segments: list[tuple]):
     """Evaluator and end value of the continuous piecewise Chebyshev
-    series whose row i, on [knots[i], knots[i+1]], is an antiderivative
-    that vanishes at knots[i].  Each row is offset by the sum of the rows
-    to its left (T_k(1) = 1, so a row sums to its value at its right
-    end).  A point is bisected to its panel and summed by Clenshaw's
-    recurrence in floats; outside the knots the end panels extrapolate.
-    The evaluator's array form (see cfun) finds the panels by
-    searchsorted and runs the same float operations in the same order."""
-    table = np.array(rows)
+    series on abutting segments (lo, hi, row), in any order, whose row is
+    an antiderivative that vanishes at lo.  Each row is offset by the sum
+    of the rows to its left (T_k(1) = 1, so a row sums to its value at
+    its right end).  A point is bisected to its segment and summed by
+    Clenshaw's recurrence in floats; outside the knots the end segments
+    extrapolate.  The evaluator's array form (see cfun) finds the
+    segments by searchsorted and runs the same float operations in the
+    same order."""
+    segments = sorted(segments, key=itemgetter(0))
+    knots = [lo for lo, _, _ in segments] + [segments[-1][1]]
+    table = np.array([row for _, _, row in segments])
     ends = np.cumsum(table.sum(axis=1))
     table[1:, 0] += ends[:-1]
-    last = len(rows) - 1
+    last = len(segments) - 1
     columns = table.T.copy()     # columns[k] holds coefficient k of each row
     edges = np.array(knots)
 
@@ -190,48 +188,34 @@ class HakeResult:
     lobes_used: int       # 0 for the non-oscillatory path
     cutoff: float         # evaluator switches to the tail model here
     # estimated sup distance between the stored and the true primitive:
-    # the tail model's defect on the lobe path, the panel heap's summed
-    # error estimate on the settled path
+    # the tail model's defect on the lobe path, the summed error estimate
+    # of the final segments on the settled path
     defect_bound: float
 
 
-def _lobe_rows(integrand, a: float, b: float, tol: float, room: int):
-    """Rows of the lobe table on [a, b], as (left end, row) pairs: the
-    antiderivative of the interpolant through h at the 20 Gauss nodes.
-    A segment is bisected, left half first, until half its width times
-    its last two interpolant coefficients is within bv's goal for tol,
-    floored at the roundoff of its values; BudgetExceeded past bv's
-    depth cap or past room segments."""
-    rows = []
-    todo = [(a, b, 0)]
-    while todo:
-        lo, hi, depth = todo.pop()
+def _gauss_rule(h):
+    """The segment rule of both tables, in the form bv._refine takes.
+    On [lo, hi] the value is a table row: the antiderivative, vanishing
+    at lo, of the interpolant through h at the 20 Gauss nodes.  The
+    estimate is half the width times the interpolant's last two
+    coefficients, and the scale half the width times the summed |h| at
+    the nodes.  The nodes are interior, so h is never evaluated at an
+    end and segments carry no end values."""
+    def rule(lo, left, hi, right):
         half = 0.5 * (hi - lo)
-        vals = np.array([integrand(x) for x in
+        vals = np.array([h(x) for x in
                          (lo + half * (_GAUSS_NODES + 1.0)).tolist()],
                         dtype=float)
-        if not np.isfinite(vals).all():
-            raise BudgetExceeded(
-                f"non-finite integrand on x in [{lo!r}, {hi!r}]")
-        c = _LOBE_INTERPOLANT @ vals
-        if half * (abs(c[-2]) + abs(c[-1])) <= _goal(
-                tol, half * float(np.abs(vals).sum())):
-            rows.append((lo, half * (_LOBE_ANTIDERIVATIVE @ vals)))
-            continue
-        if depth == _DEPTH_CAP or len(rows) + len(todo) + 2 > room:
-            cap = (f"depth cap {_DEPTH_CAP}" if depth == _DEPTH_CAP
-                   else f"segment cap {_SEGMENT_CAP}")
-            raise BudgetExceeded(
-                f"lobe {cap} reached on x in [{lo!r}, {hi!r}]")
-        m = lo + half
-        todo += [(m, hi, depth + 1), (lo, m, depth + 1)]
-    return rows
+        c = _GAUSS_INTERPOLANT @ vals
+        return (half * (_GAUSS_ANTIDERIVATIVE @ vals),
+                float(half * (abs(c[-2]) + abs(c[-1]))),
+                half * float(np.abs(vals).sum()), None)
+    return rule
 
 
 def _oscillatory_total(integrand, start, zeros, tol):
     """Accelerated limit of the cumulative integral along lobe sums, with
-    the lobe boundaries, the partial sums, and the lobe table's knots and
-    rows.
+    the lobe boundaries, the partial sums, and the lobe table's segments.
 
     Acceleration alone would assign Abel-style values to divergent
     oscillations like sin(x), so convergence additionally requires the
@@ -240,21 +224,19 @@ def _oscillatory_total(integrand, start, zeros, tol):
     the tail-model defect of the stored primitive.
     """
     zs = [start]
-    knots = []
-    rows = []
+    table = []
     areas = []
     sums = []
     total = None
     settled = 0
     decay_failures = 0
     prev_est = None
+    rule = _gauss_rule(integrand)
     for z in zeros:
-        segments = _lobe_rows(integrand, zs[-1], z, tol,
-                              _SEGMENT_CAP - len(rows))
-        area = math.fsum(float(row.sum()) for _, row in segments)
-        for left, row in segments:
-            knots.append(left)
-            rows.append(row)
+        segments, _ = _refine([(rule, zs[-1], None, z, None)], tol, "lobe",
+                              _SEGMENT_CAP - len(table), float)
+        area = math.fsum(float(row.sum()) for _, _, row in segments)
+        table += segments
         areas.append(area)
         sums.append((sums[-1] if sums else 0.0) + area)
         zs.append(z)
@@ -285,33 +267,25 @@ def _oscillatory_total(integrand, start, zeros, tol):
     if total is None:
         raise NoLimitAtInfinity(
             "lobe sums did not settle within the lobe budget")
-    knots.append(zs[-1])
-    return total, zs, sums, knots, rows
+    return total, zs, sums, table
 
 
 def _settled_primitive(integrand, a: float, tol: float) -> HakeResult:
     """Primitive of a non-oscillatory integrand h on [a, inf): dx is
-    (1+|x|)^2 du in the chart, so the panel heap of bv integrates
-    H = h (1+|x|)^2, with H(inf) = 0, against the chart to tol, or to the
-    roundoff of the total if that is coarser, in at most _PANEL_CAP
-    panels.  On each final panel F adds the antiderivative of H's
-    interpolant to the sum of the panels to its left, with no integrand
-    call."""
-    @functools.cache     # the heap has evaluated H at every panel node
-    def H(x: float) -> float:
-        if math.isinf(x):
-            return 0.0
+    (1+|x|)^2 du in the chart, so the Gauss rule integrates
+    H = h (1+|x|)^2 over [u(a), 1], bisected by bv's loop to tol, or to
+    the roundoff of the total if that is coarser.  The rows of the final
+    segments are the table of F in u, and evaluating F calls no
+    integrand."""
+    def H(u: float) -> float:
+        x = decompactify(u)
         return integrand(x) * (1.0 + abs(x)) ** 2
 
-    heap = _panel_heap(H, monotone(compactify, -1.0, 1.0), a, math.inf, tol,
-                       max_panels=_PANEL_CAP)
-    panels = sorted((p[5], p[10]) for p in heap)
-    rows = [0.5 * (ub - ua) * (_ANTIDERIVATIVE @ [H(decompactify(u))
-                                                  for u in _panel_us(ua, ub)])
-            for ua, ub in panels]
-    # compactify can fall by one ulp just above a: the first panel
+    segments, err = _refine([(_gauss_rule(H), compactify(a), None, 1.0,
+                              None)], tol, "settled", _SEGMENT_CAP)
+    # compactify can fall by one ulp just above a: the first segment
     # extrapolates there
-    at_u, total = _primitive_table([ua for ua, _ in panels] + [1.0], rows)
+    at_u, total = _primitive_table(segments)
 
     def F(x: float) -> float:
         return 0.0 if x <= a else at_u(compactify(x))
@@ -325,8 +299,7 @@ def _settled_primitive(integrand, a: float, tol: float) -> HakeResult:
 
     F.many = F_many
     dist = distribution_from_evaluator(F, 0.0, total, tol)
-    return HakeResult(dist, total, 0, math.inf,
-                      math.fsum(-p[0] for p in heap))
+    return HakeResult(dist, total, 0, math.inf, err)
 
 
 def hake_from_integrand(integrand, a: float = 0.0,
@@ -334,24 +307,27 @@ def hake_from_integrand(integrand, a: float = 0.0,
     """Primitive of an integrand on [a, inf), extended by 0 left of a.
 
     A probe of 4,096 points on [a, a + _SCAN_WINDOW], stopped at the
-    first sign change, picks the path.  Non-oscillatory integrands are
-    integrated to tol by the Stieltjes panel heap in the compact chart
-    (see _settled_primitive); h is evaluated at a and must be finite
-    there, else BudgetExceeded.
+    first sign change, picks the path.  Both paths interpolate h at the
+    20 Gauss-Legendre nodes of a segment (_gauss_rule) and bisect the
+    segment with the largest estimate, in bv's loop, until the estimates
+    sum to tol/10, floored at the roundoff of the values.
+    Non-oscillatory integrands run the loop once, over the compact chart
+    (see _settled_primitive).  The Gauss nodes never evaluate h at a,
+    so an integrable singularity there is no error by itself; one the
+    rule cannot resolve reaches the depth cap.
     Oscillatory ones are partitioned at sign changes, found by Illinois
-    regula falsi; each lobe is interpolated at 20 Gauss-Legendre nodes,
-    and bisected until the interpolant's last coefficients meet the goal
-    of bv's panel heap, tol/10 floored at the roundoff of the values.
-    The alternating series of lobe areas is accelerated for the limit,
-    lobes are accumulated exactly up to the point where one lobe is
-    smaller than _DEFECT_TARGET, and past that cutoff the stored
-    primitive follows a smooth decaying tail model.  A non-finite value
-    of h in a lobe, a segment past bv's depth cap, or a lobe table past
-    _SEGMENT_CAP rows raises BudgetExceeded.  On both paths the primitive
-    is a table of Chebyshev series with an array form, and evaluating it
-    calls no integrand.  The sup-norm gap between the stored and the
-    true primitive is estimated by defect_bound on the result; the total
-    over [a, inf) is not affected by the tail model.
+    regula falsi, and run the loop once per lobe.  The alternating
+    series of lobe areas is accelerated for the limit, lobes are
+    accumulated exactly up to the point where one lobe is smaller than
+    _DEFECT_TARGET, and past that cutoff the stored primitive follows a
+    smooth decaying tail model.  A non-finite value of h at a node, a
+    segment past bv's depth cap, or a table past _SEGMENT_CAP rows
+    raises BudgetExceeded naming the segment's x-interval.  On both
+    paths the primitive is a table of Chebyshev series with an array
+    form, and evaluating it calls no integrand.  The sup-norm gap
+    between the stored and the true primitive is estimated by
+    defect_bound on the result; the total over [a, inf) is not affected
+    by the tail model.
     """
     # probe for oscillation, up to the first sign change in the scan window
     probe = map(integrand, np.linspace(a, a + _SCAN_WINDOW, 4096).tolist())
@@ -363,7 +339,7 @@ def hake_from_integrand(integrand, a: float = 0.0,
     else:
         return _settled_primitive(integrand, a, tol)
 
-    total, zs, sums, knots, rows = _oscillatory_total(
+    total, zs, sums, table = _oscillatory_total(
         integrand, a, _scan_sign_changes(integrand, a, 0.5), tol)
 
     # accumulate lobes exactly until one is below the defect target
@@ -373,8 +349,7 @@ def hake_from_integrand(integrand, a: float = 0.0,
             cut_idx = i
             break
     cutoff = zs[cut_idx + 1]
-    n = bisect_left(knots, cutoff)
-    at_x, S_cut = _primitive_table(knots[:n + 1], rows[:n])
+    at_x, S_cut = _primitive_table([s for s in table if s[0] < cutoff])
     tail_cut = total - S_cut
     defect = abs(tail_cut) + (abs(sums[cut_idx] - sums[cut_idx - 1])
                               if cut_idx >= 1 else 0.0)

@@ -187,7 +187,7 @@ def weighted_integral(F_loc, r: float, tol: float = DEFAULT_TOL) -> float:
         return _tail_limit(F_loc, +1, tol) - F0
     # rs_integral against -e^(-rt) would carry tol, but its tol is
     # absolute and it has no panel budget: for F = x^5 at r = 0.01 the
-    # value is 1.2e12, and the heap cannot bring its estimates to tol/10
+    # value is 1.2e12, and bisection cannot bring its estimates to tol/10
     from scipy import integrate
 
     def Fr(x: float) -> float:

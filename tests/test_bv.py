@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpint.bv import (BVFunction, blocks, constant, from_callable, from_knots,
-                      heaviside, indicator, monotone, normalize_nbv,
-                      rs_integral, variation)
-from cpint.cfun import ContinuousFunctionBar
+from cpint.bv import (BVFunction, Piece, blocks, constant, from_callable,
+                      from_knots, heaviside, indicator, monotone,
+                      normalize_nbv, rs_integral, variation)
+from cpint.cfun import ContinuousFunctionBar, bump
 from cpint.chart import INF, NEG_INF
 from cpint.errors import BudgetExceeded, IntervalEmpty, MalformedPieces
+from cpint.products import pair_with_test
+from cpint.space import Distribution
 from cpint.transforms import poisson_kernel_bv
 
 
@@ -189,6 +191,78 @@ class TestRsIntegral:
         g = monotone(lambda t: -math.exp(-0.1 * t), NEG_INF, 0.0)
         assert rs_integral(cube, g, 0.0, 1000.0, tol) == pytest.approx(
             6000.0, rel=1e-14)
+
+
+def _counted(fn):
+    calls = [0]
+
+    def wrapped(x):
+        calls[0] += 1
+        return fn(x)
+
+    return wrapped, calls
+
+
+def _guard_smooth():
+    F, f_calls = _counted(lambda x: math.atan(x - 0.4))
+    G, g_calls = _counted(math.tanh)
+    return (lambda: rs_integral(
+        ContinuousFunctionBar(F, -math.pi / 2, math.pi / 2),
+        monotone(G, -1.0, 1.0), NEG_INF, INF)), f_calls, g_calls
+
+
+def _guard_kinked():
+    F, f_calls = _counted(lambda x: max(0.0, 1.0 - abs(x - 0.3)))
+    G, g_calls = _counted(math.atan)
+    return (lambda: rs_integral(
+        ContinuousFunctionBar(F, 0.0, 0.0),
+        monotone(G, -math.pi / 2, math.pi / 2), NEG_INF, INF)), \
+        f_calls, g_calls
+
+
+def _guard_jumps():
+    # jumps at -1 and 0.5 with point values off both one-sided limits,
+    # -1 an endpoint of the integral
+    F, f_calls = _counted(math.atan)
+    G, g_calls = _counted(lambda x: math.exp(-x))
+    g = BVFunction([Piece(NEG_INF, -1.0, lambda x: 0.0, 0.0, 0.0),
+                    Piece(-1.0, 0.5, lambda x: G(x) - 3.0, math.e - 3.0,
+                          math.exp(-0.5) - 3.0),
+                    Piece(0.5, INF, G, math.exp(-0.5), 0.0)],
+                   point_values={-1.0: 0.7, 0.5: -0.2})
+    return (lambda: rs_integral(
+        ContinuousFunctionBar(F, -math.pi / 2, math.pi / 2), g,
+        -1.0, 2.0)), f_calls, g_calls
+
+
+def _guard_poisson():
+    F, f_calls = _counted(lambda x: max(0.0, min(2.0, x + 1.0)))
+    return (lambda: rs_integral(ContinuousFunctionBar(F, 0.0, 2.0),
+                                poisson_kernel_bv(1.0, 0.1),
+                                NEG_INF, INF)), f_calls, [0]
+
+
+def _guard_bump():
+    F, f_calls = _counted(lambda x: math.atan(x) + 0.5 * math.exp(-x * x))
+    f = Distribution(ContinuousFunctionBar(F, -math.pi / 2, math.pi / 2))
+    return (lambda: pair_with_test(f, bump(0.5, 0.5))), f_calls, [0]
+
+
+class TestRsIntegralPinned:
+    """Values bit for bit and evaluator calls of the Stieltjes engine,
+    pinned so that a change to its refinement loop shows here."""
+
+    @pytest.mark.parametrize("case,value,f_calls,g_calls", [
+        (_guard_smooth, "-0x1.1cb571a10d980p-1", 615, 615),
+        (_guard_kinked, "0x1.ab274760490bap-1", 1455, 1455),
+        (_guard_jumps, "0x1.490cc495d46ccp+1", 457, 453),
+        (_guard_poisson, "-0x1.efb751fbad6a8p-2", 1023, 0),
+        (_guard_bump, "0x1.05eafd85cfcd5p-4", 399, 0),
+    ], ids=["smooth", "kinked", "jumps", "poisson", "bump"])
+    def test_values_and_calls(self, case, value, f_calls, g_calls):
+        run, f_seen, g_seen = case()
+        assert run().hex() == value
+        assert (f_seen[0], g_seen[0]) == (f_calls, g_calls)
 
 
 class TestFromCallable:

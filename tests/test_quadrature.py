@@ -1,12 +1,14 @@
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
+from cpint.bv import _refine
 from cpint.errors import BudgetExceeded, NoLimitAtInfinity
-from cpint.quadrature import (_lobe_rows, _primitive_table,
+from cpint.quadrature import (_SEGMENT_CAP, _gauss_rule, _primitive_table,
                               _scan_sign_changes, epsilon_limit,
                               hake_from_integrand)
 
@@ -24,9 +26,10 @@ class TestGaussSegment:
         p = np.polynomial.Polynomial(
             np.random.default_rng(7).uniform(-1.0, 1.0, 20))
         P = p.integ(lbnd=-1.0)
-        segments = _lobe_rows(p, -1.0, 2.0, 1e-10, 64)
-        F, total = _primitive_table([x for x, _ in segments] + [2.0],
-                                    [row for _, row in segments])
+        segments, _ = _refine([(_gauss_rule(p), -1.0, None, 2.0, None)],
+                              1e-10, "segment", 64, float)
+        assert len(segments) > 1
+        F, total = _primitive_table(segments)
         scale = np.abs(P(np.linspace(-1.0, 2.0, 301))).max()
         assert total == pytest.approx(P(2.0), abs=1e-14 * scale)
         for x in np.linspace(-1.0, 2.0, 301).tolist():
@@ -236,9 +239,13 @@ class TestHakeSettled:
                              ids=["power_1.5", "power_1"])
     def test_slow_or_divergent_tail_raises(self, h):
         # (1+x)^(-3/2) has total 2 but decays too slowly for the chart's
-        # end panel; 1/(1+x) has no total
-        with pytest.raises((BudgetExceeded, NoLimitAtInfinity)):
+        # end segment; 1/(1+x) has no total.  The error names the end
+        # segment in x, [2^40 - 1, inf], not in u
+        with pytest.raises(BudgetExceeded, match="depth cap") as info:
             hake_from_integrand(h)
+        lo, hi = (float(v) for v in re.search(
+            r"x in \[([^,]+), ([^\]]+)\]", str(info.value)).groups())
+        assert (lo, hi) == (2.0 ** 40 - 1.0, math.inf)
 
     def test_large_integrand_stops(self):
         # 1e8 exp(-x^2) carries roundoff near 1e-8, far above the default
@@ -259,17 +266,35 @@ class TestHakeSettled:
             assert hake_from_integrand(h, tol=tol).total == pytest.approx(
                 1e8 * math.sqrt(math.pi) / 2.0, rel=1e-14)
 
-    def test_unresolved_wiggle_hits_panel_cap(self):
-        # positive, but 1e4 wiggles on [0, 6] to resolve to tol
-        with pytest.raises(BudgetExceeded, match="panel cap"):
-            hake_from_integrand(lambda x: math.exp(-x * x)
+    def test_wiggle_against_mpmath(self):
+        # positive, with 1e4 wiggles on [0, 6] to resolve to tol
+        h = hake_from_integrand(lambda x: math.exp(-x * x)
                                 * (1.0 + 1e-3 * math.sin(1e4 * x)))
+        assert h.total == pytest.approx(0.88622702545276001365, abs=1e-10)
+
+    def test_unresolved_wiggle_hits_segment_cap(self):
+        # 1e6 wiggles on [0, 6] need more than _SEGMENT_CAP segments; the
+        # probe and 20 calls per segment evaluated bound the work
+        calls = 0
+
+        def h(x):
+            nonlocal calls
+            calls += 1
+            return math.exp(-x * x) * (1.0 + 1e-3 * math.sin(1e6 * x))
+
+        with pytest.raises(BudgetExceeded, match="segment cap"):
+            hake_from_integrand(h)
+        assert calls <= 4096 + 20 * 2 * _SEGMENT_CAP
 
     def test_singular_start_raises(self):
-        # the heap evaluates h at a, so h must be finite on [a, inf)
-        with np.errstate(divide="ignore", invalid="ignore"), \
-                pytest.raises(BudgetExceeded, match="non-finite"):
+        # an integrable singularity at a: no depth brings the segment at
+        # a to tol.  The Gauss nodes never evaluate h at a itself, where
+        # only the probe sees its infinite value
+        with np.errstate(divide="ignore"), \
+                pytest.raises(BudgetExceeded, match="depth cap") as info:
             hake_from_integrand(lambda x: np.exp(-x) / np.sqrt(x))
+        assert str(info.value).endswith(
+            f"x in [0.0, {2.0 ** -40 / (1.0 - 2.0 ** -40)!r}]")
 
 
 class TestArrayForm:
