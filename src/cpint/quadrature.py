@@ -6,12 +6,12 @@ segment, so that evaluating a primitive calls no integrand.  Each table
 also has an array form (see cfun), one vectorised pass over all points
 that equals the scalar evaluator bit for bit.  Both tables come from
 the same 20-node Gauss segment rule, bisected by bv's worst-first loop.
-For integrands with a settling cumulative integral the rule integrates
-h (1+|x|)^2 over the compact chart in one run of the loop.  For
+One scan of the integrand's sign changes picks the path.  For
 oscillatory integrands whose cumulative integral converges
 conditionally (the interesting case), the integrand is partitioned at
 its sign changes, each lobe is one run of the loop, and the tail limit
-is extracted by accelerating the alternating series of lobe areas.
+is extracted by accelerating the alternating series of lobe areas.  If
+the scan ends first, one run integrates h (1+|x|)^2 over the chart.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial import chebyshev, legendre
 
 from .bv import _refine
-from .cfun import DEFAULT_TOL
+from .cfun import DEFAULT_TOL, _safe
 from .chart import compactify, decompactify
 from .errors import NoLimitAtInfinity
 from .space import Distribution, distribution_from_evaluator
@@ -39,7 +39,7 @@ _GAUSS_ANTIDERIVATIVE = chebyshev.chebint(_GAUSS_INTERPOLANT, lbnd=-1)
 
 _MAX_LOBES = 20000
 _SEGMENT_CAP = 2 * _MAX_LOBES   # rows of either table
-_SCAN_WINDOW = 60.0       # no sign change within this => not oscillatory
+_SCAN_STEPS = 120         # steps without a sign change that end the scan
 _ACCEL_TAIL = 40          # partial sums fed to the epsilon algorithm
 _MODEL_DECAY = 3          # tail model exponent past the lobe cutoff
 _DEFECT_TARGET = 1e-2     # lobes are summed exactly down to this area
@@ -158,23 +158,25 @@ def _illinois_zero(fn, a: float, fa: float, b: float, fb: float) -> float:
 
 
 def _scan_sign_changes(fn, start: float, first_step: float):
-    """Generator of consecutive sign-change points of fn after start."""
+    """Generator of consecutive sign-change points of fn after start.  It
+    ends after _SCAN_STEPS steps without a sign change; after the second
+    zero a step is 0.35 of the last zero spacing.  A call of fn that
+    raises reads as NaN (cfun._safe); NaN and 0 make no sign change."""
     t = start
-    v = fn(t)
+    v = _safe(fn, t)
     step = first_step
     last_z = None
-    while True:
+    quiet = 0
+    while quiet < _SCAN_STEPS:
+        quiet += 1
         t2 = t + step
-        v2 = fn(t2)
-        if v == 0.0:
-            v = v2
-            t = t2
-            continue
+        v2 = _safe(fn, t2)
         if v * v2 < 0.0:
             z = _illinois_zero(fn, t, v, t2, v2)
             if last_z is not None:
                 step = 0.35 * (z - last_z)
             last_z = z
+            quiet = 0
             yield z
         t, v = t2, v2
 
@@ -185,7 +187,7 @@ class HakeResult:
 
     distribution: Distribution
     total: float          # integral over [a, inf)
-    lobes_used: int       # 0 for the non-oscillatory path
+    lobes_used: int       # 0 for the settled path
     cutoff: float         # evaluator switches to the tail model here
     # estimated sup distance between the stored and the true primitive:
     # the tail model's defect on the lobe path, the summed error estimate
@@ -215,7 +217,9 @@ def _gauss_rule(h):
 
 def _oscillatory_total(integrand, start, zeros, tol):
     """Accelerated limit of the cumulative integral along lobe sums, with
-    the lobe boundaries, the partial sums, and the lobe table's segments.
+    the lobe boundaries, the partial sums, and the lobe table's segments;
+    None if the zeros run out first, so that h keeps its sign after the
+    last of them.
 
     Acceleration alone would assign Abel-style values to divergent
     oscillations like sin(x), so convergence additionally requires the
@@ -264,6 +268,8 @@ def _oscillatory_total(integrand, start, zeros, tol):
             break
         if len(zs) > _MAX_LOBES:
             break
+    else:
+        return None
     if total is None:
         raise NoLimitAtInfinity(
             "lobe sums did not settle within the lobe budget")
@@ -271,12 +277,12 @@ def _oscillatory_total(integrand, start, zeros, tol):
 
 
 def _settled_primitive(integrand, a: float, tol: float) -> HakeResult:
-    """Primitive of a non-oscillatory integrand h on [a, inf): dx is
-    (1+|x|)^2 du in the chart, so the Gauss rule integrates
-    H = h (1+|x|)^2 over [u(a), 1], bisected by bv's loop to tol, or to
-    the roundoff of the total if that is coarser.  The rows of the final
-    segments are the table of F in u, and evaluating F calls no
-    integrand."""
+    """Primitive on [a, inf) of an integrand h that keeps its sign after
+    the scan's last zero: dx is (1+|x|)^2 du in the chart, so the Gauss
+    rule integrates H = h (1+|x|)^2 over [u(a), 1], bisected by bv's loop
+    to tol, or to the roundoff of the total if that is coarser.  The rows
+    of the final segments are the table of F in u, and evaluating F calls
+    no integrand."""
     def H(u: float) -> float:
         x = decompactify(u)
         return integrand(x) * (1.0 + abs(x)) ** 2
@@ -306,17 +312,17 @@ def hake_from_integrand(integrand, a: float = 0.0,
                         tol: float = DEFAULT_TOL) -> HakeResult:
     """Primitive of an integrand on [a, inf), extended by 0 left of a.
 
-    A probe of 4,096 points on [a, a + _SCAN_WINDOW], stopped at the
-    first sign change, picks the path.  Both paths interpolate h at the
-    20 Gauss-Legendre nodes of a segment (_gauss_rule) and bisect the
-    segment with the largest estimate, in bv's loop, until the estimates
-    sum to tol/10, floored at the roundoff of the values.
-    Non-oscillatory integrands run the loop once, over the compact chart
-    (see _settled_primitive).  The Gauss nodes never evaluate h at a,
-    so an integrable singularity there is no error by itself; one the
-    rule cannot resolve reaches the depth cap.
-    Oscillatory ones are partitioned at sign changes, found by Illinois
-    regula falsi, and run the loop once per lobe.  The alternating
+    Both paths interpolate h at the 20 Gauss-Legendre nodes of a
+    segment (_gauss_rule) and bisect the segment with the largest
+    estimate, in bv's loop, until the estimates sum to tol/10, floored at
+    the roundoff of the values.  One scan of h (_scan_sign_changes)
+    picks the path: if it ends before the lobe loop stops, h keeps its
+    sign after the scan's last zero and the loop runs once over the
+    compact chart (see _settled_primitive).  The Gauss nodes never
+    evaluate h at a, so an integrable singularity there is no error by
+    itself; one the rule cannot resolve reaches the depth cap.
+    Otherwise h is partitioned at sign changes, found by Illinois
+    regula falsi, and each lobe runs the loop once.  The alternating
     series of lobe areas is accelerated for the limit, lobes are
     accumulated exactly up to the point where one lobe is smaller than
     _DEFECT_TARGET, and past that cutoff the stored primitive follows a
@@ -329,18 +335,11 @@ def hake_from_integrand(integrand, a: float = 0.0,
     defect_bound on the result; the total over [a, inf) is not affected
     by the tail model.
     """
-    # probe for oscillation, up to the first sign change in the scan window
-    probe = map(integrand, np.linspace(a, a + _SCAN_WINDOW, 4096).tolist())
-    prev = next(probe)
-    for v in probe:
-        if prev * v < 0.0:
-            break
-        prev = v
-    else:
-        return _settled_primitive(integrand, a, tol)
-
-    total, zs, sums, table = _oscillatory_total(
+    lobes = _oscillatory_total(
         integrand, a, _scan_sign_changes(integrand, a, 0.5), tol)
+    if lobes is None:
+        return _settled_primitive(integrand, a, tol)
+    total, zs, sums, table = lobes
 
     # accumulate lobes exactly until one is below the defect target
     cut_idx = len(sums) - 1

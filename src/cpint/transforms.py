@@ -185,9 +185,10 @@ def weighted_integral(F_loc, r: float, tol: float = DEFAULT_TOL) -> float:
     F0 = F_loc(0.0)
     if r == 0.0:
         return _tail_limit(F_loc, +1, tol) - F0
-    # rs_integral against -e^(-rt) would carry tol, but its tol is
-    # absolute and it has no panel budget: for F = x^5 at r = 0.01 the
-    # value is 1.2e12, and bisection cannot bring its estimates to tol/10
+    # rs_integral against -e^(-rt) would carry tol but does not finish:
+    # for F = x^5 at r = 0.01, at tol 1e-6 as at 1e-10, a 200,000-segment
+    # cap stops it on x in [576.2806, 576.2855] after 6.0M calls, although
+    # its goal is floored at the roundoff of its values
     from scipy import integrate
 
     def Fr(x: float) -> float:

@@ -8,9 +8,9 @@ from scipy import special
 
 from cpint.bv import _refine
 from cpint.errors import BudgetExceeded, NoLimitAtInfinity
-from cpint.quadrature import (_SEGMENT_CAP, _gauss_rule, _primitive_table,
-                              _scan_sign_changes, epsilon_limit,
-                              hake_from_integrand)
+from cpint.quadrature import (_SCAN_STEPS, _SEGMENT_CAP, _gauss_rule,
+                              _primitive_table, _scan_sign_changes,
+                              epsilon_limit, hake_from_integrand)
 
 FRESNEL_TOTAL = 0.6266570686577501   # sqrt(pi) / 2^(3/2)
 SI_TOTAL = math.pi / 2.0
@@ -274,7 +274,8 @@ class TestHakeSettled:
 
     def test_unresolved_wiggle_hits_segment_cap(self):
         # 1e6 wiggles on [0, 6] need more than _SEGMENT_CAP segments; the
-        # probe and 20 calls per segment evaluated bound the work
+        # scan's 121 points, none of them a sign change, and 20 calls per
+        # segment evaluated bound the work
         calls = 0
 
         def h(x):
@@ -284,15 +285,19 @@ class TestHakeSettled:
 
         with pytest.raises(BudgetExceeded, match="segment cap"):
             hake_from_integrand(h)
-        assert calls <= 4096 + 20 * 2 * _SEGMENT_CAP
+        assert calls <= 121 + 20 * 2 * _SEGMENT_CAP
 
-    def test_singular_start_raises(self):
+    @pytest.mark.parametrize("h", [lambda x: np.exp(-x) / np.sqrt(x),
+                                   lambda x: math.exp(-x) / math.sqrt(x)],
+                             ids=["numpy", "math"])
+    def test_singular_start_raises(self, h):
         # an integrable singularity at a: no depth brings the segment at
-        # a to tol.  The Gauss nodes never evaluate h at a itself, where
-        # only the probe sees its infinite value
+        # a to tol.  The Gauss nodes never evaluate h at a itself; only
+        # the scan does, and it reads the infinite value, or the
+        # ZeroDivisionError of the math form, as no sign change
         with np.errstate(divide="ignore"), \
                 pytest.raises(BudgetExceeded, match="depth cap") as info:
-            hake_from_integrand(lambda x: np.exp(-x) / np.sqrt(x))
+            hake_from_integrand(h)
         assert str(info.value).endswith(
             f"x in [0.0, {2.0 ** -40 / (1.0 - 2.0 ** -40)!r}]")
 
@@ -325,25 +330,47 @@ class TestArrayForm:
                     == np.array(scalar).view(np.uint64)).all()
 
 
-class TestProbe:
-    @pytest.mark.parametrize("h,oscillates", [
-        (math.sin, True), (lambda x: math.exp(-x * x), False)],
-        ids=["sin", "gauss"])
-    def test_probe_stops_at_first_sign_change(self, h, oscillates):
-        probe = np.linspace(0.0, 60.0, 4096).tolist()
+class TestScan:
+    """The sign-change scan is the one sampler of h besides the Gauss
+    rule; it ends after _SCAN_STEPS steps without a sign change."""
+
+    def test_settled_integrand_scanned_once(self):
         seen = []
+        hake_from_integrand(lambda x: seen.append(x) or math.exp(-x * x))
+        assert len(seen) <= 400
+        assert seen[:121] == [0.5 * k for k in range(121)]
+
+    def test_constant_ends_scan(self):
+        seen = []
+        zs = _scan_sign_changes(lambda x: seen.append(x) or 1.0, 0.0, 0.5)
+        assert list(zs) == []
+        assert len(seen) == _SCAN_STEPS + 1 == 121
+
+    def test_ends_after_last_zero(self):
+        zs = _scan_sign_changes(lambda x: (x - 1.25) * (x - 3.25), 0.0, 0.5)
+        assert list(zs) == [1.25, 3.25]
+
+
+class TestFiniteSignChanges:
+    """h that changes sign finitely often: the scan ends after the last
+    zero, and the settled path integrates h over the whole chart."""
+
+    @pytest.mark.parametrize("h,total", [
+        (lambda x: (x - 1.0) * (x - 3.0) * math.exp(-x), 1.0),
+        (lambda x: (16.0 * x ** 4 - 48.0 * x * x + 12.0) * math.exp(-x * x),
+         0.0),
+        # a dip below 0 near 1.1, between the scan's points 1.0 and 1.5
+        (lambda x: math.exp(-x) - 0.6 * math.exp(-((x - 1.1) / 0.05) ** 2),
+         1.0 - 0.03 * math.sqrt(math.pi)),
+    ], ids=["two_zeros", "hermite_4", "narrow_dip"])
+    def test_total_against_closed_form(self, h, total):
+        calls = 0
 
         def counted(x):
-            seen.append(x)
+            nonlocal calls
+            calls += 1
+            if calls > 100_000:
+                raise RuntimeError("the lobe loop waits for a zero")
             return h(x)
 
-        try:
-            hake_from_integrand(counted)
-        except NoLimitAtInfinity:     # sin has no limit
-            pass
-        vals = [h(x) for x in probe]
-        first = next((i for i in range(1, len(probe))
-                      if vals[i - 1] * vals[i] < 0.0), len(probe) - 1)
-        assert first == (215 if oscillates else 4095)
-        assert seen[:first + 1] == probe[:first + 1]
-        assert seen[first + 1] != probe[min(first + 1, len(probe) - 1)]
+        assert abs(hake_from_integrand(counted).total - total) <= 1e-12
