@@ -4,8 +4,8 @@ The order is f <= g exactly when the primitives satisfy F <= G
 pointwise on the extended real line.  Join and meet are pointwise max
 and min of primitives; the positive, negative and absolute parts come
 from the same operations against zero.  The absolute-integrability norm
-is the variation of the primitive, estimated by refining partition sums
-with an explicit divergence verdict.
+is the variation of the primitive, estimated by partition sums over
+refined extrema with an explicit divergence verdict.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .cfun import DEFAULT_TOL, ContinuousFunctionBar
-from .chart import decompactify, uniform_u_grid
+from .chart import decompactify, golden_max, uniform_u_grid
 from .errors import BudgetExceeded
 from .space import Distribution
 
@@ -25,7 +25,8 @@ _COMPARE_GRID = 4097
 _ABS_START_LEVEL = 4
 _ABS_MAX_LEVEL = 18
 _ABS_DIVERGENT_RUN = 8
-_ABS_SHRINK_RATIO = 0.8
+_ABS_GROWTH = 1e-3
+_ABS_EDGE = 1e-12
 
 
 class Order(enum.Enum):
@@ -98,6 +99,7 @@ class AbsNormResult:
     divergent: bool
     value: float          # the variation, or a certified lower bound
     levels_used: int
+    extrema: int          # refined extrema in the final partition
 
 
 def _variation_sum(vals: np.ndarray) -> float:
@@ -105,50 +107,100 @@ def _variation_sum(vals: np.ndarray) -> float:
     return sum(np.abs(np.diff(vals)).tolist())
 
 
-def abs_norm(f: Distribution, tol: float = DEFAULT_TOL) -> AbsNormResult:
-    """Variation of the primitive by dyadic partition sums in the chart.
+def _refined_extrema(F: ContinuousFunctionBar, us: np.ndarray,
+                     vals: np.ndarray, done: set,
+                     floor: float) -> list[tuple[float, float]]:
+    """(t, F(t)) from golden refinement of each turning point of the
+    partition (us, vals) that stands out of both neighbours by more than
+    floor and whose u is not in done.  The bracket is the span between
+    the two neighbours, clipped 1e-12 off u = +-1.  Each turning point
+    refined and each extremum it gives go into done, so neither is
+    refined again."""
+    steps = np.sign(np.diff(vals))
+    found = []
+    for i in (np.nonzero(steps[:-1] * steps[1:] < 0.0)[0] + 1).tolist():
+        u, left, right = float(us[i]), float(us[i - 1]), float(us[i + 1])
+        swing = min(abs(vals[i] - vals[i - 1]), abs(vals[i + 1] - vals[i]))
+        if u in done or swing <= floor:
+            continue
+        done.add(u)
+        sgn = float(steps[i - 1])     # +1 at a maximum, -1 at a minimum
+        lo, hi = max(left, -1.0 + _ABS_EDGE), min(right, 1.0 - _ABS_EDGE)
+        t, w = golden_max(lambda v: sgn * F.at_u(v), lo, hi)
+        if t not in done and t not in (left, right):
+            done.add(t)
+            found.append((t, sgn * w))
+    return found
 
-    The sums increase monotonically under refinement.  They either
-    settle (finite variation, value returned) or keep growing with
-    non-shrinking increments, which is reported as Divergent together
-    with the largest sum reached as a lower bound.  No finite procedure
-    can decide infinite variation; the verdict is evidence-grade.
+
+def abs_norm(f: Distribution, tol: float = DEFAULT_TOL) -> AbsNormResult:
+    """Variation of the primitive by partition sums over refined extrema.
+
+    Each level's partition is the dyadic chart grid plus every extremum
+    refined so far.  Each turning point of the partition that stands out
+    of its neighbours by more than tol*(1+sum) is refined once by golden
+    section, and the refined point stays for every later level.  The sum
+    over the partition is a certified lower bound on the variation and
+    never decreases.
+
+    A level settles when the sum grows by at most tol*(1+sum) and no
+    extremum is added; two settled levels in a row return the sum.  A
+    level grows when an extremum is added and the sum grows by more than
+    tol*(1+sum) and by more than _ABS_GROWTH of itself: a sum that
+    diverges like the log of the resolution gains a fixed amount per
+    level, while the last levels of a converging sum gain a vanishing
+    share.
+    _ABS_DIVERGENT_RUN growing levels report Divergent with the sum as
+    the lower bound; a settled level resets the run, and any other level
+    leaves it as it is.  No finite
+    procedure can decide infinite variation; the verdict is
+    evidence-grade.
     """
     F = f.primitive
     level = _ABS_START_LEVEL
     us = np.array(uniform_u_grid(2 ** level + 1))
     vals = F.at_u_many(us)
-    prev_sum = _variation_sum(vals)
-    growing_run = 0
-    prev_inc = None
-    settled = 0
-    while level < _ABS_MAX_LEVEL:
-        level += 1
-        mids = 0.5 * (us[:-1] + us[1:])
-        merged_us = np.empty(2 * len(us) - 1)
-        merged_vals = np.empty_like(merged_us)
-        merged_us[::2], merged_us[1::2] = us, mids
-        merged_vals[::2], merged_vals[1::2] = vals, F.at_u_many(mids)
-        us, vals = merged_us, merged_vals
+    done: set = set()
+    extrema = 0
+    prev_sum = None
+    settled = growing_run = 0
+    while True:
+        if np.isnan(vals).any():
+            raise BudgetExceeded(f"evaluator undefined inside abs_norm "
+                                 f"partition at level {level}")
         cur = _variation_sum(vals)
-        inc = cur - prev_sum
-        if inc <= tol * (1.0 + cur):
-            settled += 1
-            growing_run = 0
-            if settled >= 2:
-                return AbsNormResult(False, cur, level)
-        else:
-            settled = 0
-            shrinking = prev_inc is not None and inc < _ABS_SHRINK_RATIO * prev_inc
-            growing_run = 0 if shrinking else growing_run + 1
-            if growing_run >= _ABS_DIVERGENT_RUN:
-                return AbsNormResult(True, cur, level)
-        prev_inc = inc
+        found = _refined_extrema(F, us, vals, done, tol * (1.0 + cur))
+        if found:
+            extrema += len(found)
+            us, vals = _merged(us, vals, *map(np.array, zip(*found)))
+            cur = _variation_sum(vals)
+        if prev_sum is not None:
+            inc = cur - prev_sum
+            grew = inc > tol * (1.0 + cur)
+            if not grew and not found:
+                settled += 1
+                growing_run = 0
+                if settled >= 2:
+                    return AbsNormResult(False, cur, level, extrema)
+            else:
+                settled = 0
+                if grew and found and inc > _ABS_GROWTH * cur:
+                    growing_run += 1
+                    if growing_run >= _ABS_DIVERGENT_RUN:
+                        return AbsNormResult(True, cur, level, extrema)
         prev_sum = cur
-    if growing_run >= 2:
-        # still increasing at the last level: divergence evidence with the
-        # last sum as a certified lower bound
-        return AbsNormResult(True, prev_sum, level)
-    raise BudgetExceeded(
-        f"variation sums still shrinking but unsettled at level {level}, "
-        f"current sum {prev_sum:g}")
+        if level == _ABS_MAX_LEVEL:
+            raise BudgetExceeded(
+                f"variation sums unsettled at level {level}: sum {cur:g} over "
+                f"{extrema} refined extrema")
+        level += 1
+        mids = -1.0 + 2.0 ** (1 - level) * np.arange(1, 2 ** level, 2)
+        us, vals = _merged(us, vals, mids, F.at_u_many(mids))
+
+
+def _merged(us: np.ndarray, vals: np.ndarray, new_us: np.ndarray,
+            new_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The partition (us, vals) with the points new_us added, sorted by u."""
+    us = np.concatenate((us, new_us))
+    order = np.argsort(us, kind="stable")
+    return us[order], np.concatenate((vals, new_vals))[order]

@@ -56,6 +56,18 @@ class TestOtherCommands:
         assert header == "kind,value"
         assert float(row.split(",")[1]) == pytest.approx(math.pi, abs=1e-8)
 
+    @pytest.mark.parametrize("fixture, divergent", [("arctan", "False"),
+                                                    ("si", "True")])
+    def test_abs_norm(self, fixture, divergent):
+        code, out, _ = invoke("norm", "--fixture", fixture, "--kind", "abs")
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert header == "kind,divergent,value,levels"
+        kind, verdict, value, _ = row.split(",")
+        assert (kind, verdict) == ("abs", divergent)
+        if divergent == "False":
+            assert float(value) == pytest.approx(math.pi, abs=1e-12)
+
     def test_product_indicator(self):
         code, out, _ = invoke("product", "--fixture", "arctan",
                               "--bv", "indicator:-1,1")
