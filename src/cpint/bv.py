@@ -362,16 +362,16 @@ def _goal(tol: float, scale: float) -> float:
     return _GOAL * tol + _ROUNDOFF * scale
 
 
-def _panel(F, G, ua, left, ub, right):
-    """The Stieltjes rule of _refine: int F dG over [ua, ub] in the u
-    chart at the 17 panel nodes.  left and right are (F, G) at the ends;
-    the middle node's pair is the children's shared end.  None on a flat
-    stretch of G, which contributes nothing."""
+def _panel(F, G, x_of, ua, left, ub, right):
+    """The Stieltjes rule of _refine: int F dG over [ua, ub] at the 17
+    panel nodes u, which sit at x_of(u).  left and right are (F, G) at the
+    ends; the middle node's pair is the children's shared end.  None on a
+    flat stretch of G, which contributes nothing."""
     (fa, ga), (fb, gb) = left, right
     if ga == gb:
         return None
     us = (0.5 * (ua + ub) + 0.5 * (ub - ua) * _NODES).tolist()
-    xs = [decompactify(u) for u in us[1:-1]]
+    xs = [x_of(u) for u in us[1:-1]]
     fg = np.array([[fa] + [F(x) for x in xs] + [fb],
                    [ga] + [G(x) for x in xs] + [gb]])
     fm, gm = fg[:, _MID]
@@ -389,42 +389,41 @@ def _panel(F, G, ua, left, ub, right):
     return value, err, abs(value), (float(fm), float(gm))
 
 
-def _refine(segments, tol: float, what: str, cap: float = math.inf,
-            x_of: Callable[[float], float] = decompactify):
+def _refine(segments, tol: float, what: str, cap: float = math.inf):
     """Worst-first bisection, the one adaptive integration loop: of
     rs_integral and of both tables of quadrature.hake_from_integrand.
 
-    segments are (rule, lo, left, hi, right); rule(lo, left, hi, right)
-    is None where the segment adds nothing, else its value, error
-    estimate, scale (magnitude, for the roundoff floor) and the state at
-    its midpoint, which left and right carry at the ends.  The worst
-    segment is bisected until the estimates sum to _goal(tol, summed
-    scales).  A non-finite estimate or scale, a segment bisected
-    _DEPTH_CAP times, or more than cap segments raises BudgetExceeded on
-    x in [x_of(lo), x_of(hi)].  Returns the final (lo, hi, value),
-    unordered, and their summed estimate."""
+    segments are (rule, x_of, lo, left, hi, right), in a coordinate u
+    at x_of(u); rule(lo, left, hi, right) is None where the segment adds
+    nothing, else its value, error estimate, scale (magnitude, for the
+    roundoff floor) and the state at its midpoint, which left and right
+    carry at the ends.  The worst segment is bisected until the estimates
+    sum to _goal(tol, summed scales).  A non-finite estimate or scale, a
+    segment bisected _DEPTH_CAP times, or more than cap segments raises
+    BudgetExceeded on x in [x_of(lo), x_of(hi)].  Returns the final
+    (lo, hi, value), unordered, and their summed estimate."""
     heap = []
     serial = count()
 
-    def fail(reason, lo, hi):
+    def fail(reason, x_of, lo, hi):
         raise BudgetExceeded(
             f"{what} {reason} after {next(serial)} panels on x in "
             f"[{x_of(lo)!r}, {x_of(hi)!r}]")
 
-    def push(rule, depth, lo, left, hi, right) -> float:
+    def push(rule, x_of, depth, lo, left, hi, right) -> float:
         out = rule(lo, left, hi, right)
         if out is None:
             return 0.0
         value, err, scale, mid = out
         if not math.isfinite(err + scale):
-            fail("non-finite value", lo, hi)
+            fail("non-finite value", x_of, lo, hi)
         heapq.heappush(heap, (-err, next(serial), value, scale, depth, rule,
-                              lo, left, mid, hi, right))
+                              x_of, lo, left, mid, hi, right))
         return err
 
     err_sum = 0.0
-    for rule, lo, left, hi, right in segments:
-        err_sum += push(rule, 0, lo, left, hi, right)
+    for rule, x_of, lo, left, hi, right in segments:
+        err_sum += push(rule, x_of, 0, lo, left, hi, right)
     goal = _goal(tol, 0.0)
     while heap:
         # the running sum drifts by roundoff of the largest estimates it
@@ -436,16 +435,16 @@ def _refine(segments, tol: float, what: str, cap: float = math.inf,
             goal = _goal(tol, math.fsum([p[3] for p in heap]))
             if err_sum <= goal:
                 break
-        neg_err, _, _, _, depth, rule, lo, left, mid, hi, right = \
+        neg_err, _, _, _, depth, rule, x_of, lo, left, mid, hi, right = \
             heapq.heappop(heap)
         if depth == _DEPTH_CAP:
-            fail(f"depth cap {_DEPTH_CAP} reached", lo, hi)
+            fail(f"depth cap {_DEPTH_CAP} reached", x_of, lo, hi)
         if n >= cap:
-            fail("segment cap reached", lo, hi)
+            fail("segment cap reached", x_of, lo, hi)
         m = 0.5 * (lo + hi)
-        err_sum += (neg_err + push(rule, depth + 1, lo, left, m, mid)
-                    + push(rule, depth + 1, m, mid, hi, right))
-    return [(p[6], p[9], p[2]) for p in heap], err_sum
+        err_sum += (neg_err + push(rule, x_of, depth + 1, lo, left, m, mid)
+                    + push(rule, x_of, depth + 1, m, mid, hi, right))
+    return [(p[7], p[10], p[2]) for p in heap], err_sum
 
 
 def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
@@ -455,10 +454,10 @@ def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
     Interior jumps of g contribute F(p) times the jump; point values of g
     at the integration endpoints (including jumps at +-inf) contribute
     the endpoint correction terms; the continuous monotone remainder is
-    integrated by Chebyshev-Lobatto panels in the compact chart.  One
-    run of _refine holds the panels of every piece, bisected until the
-    estimates sum to tol/10, or to _ROUNDOFF of the summed |panel
-    values| if that is coarser.
+    integrated by Chebyshev-Lobatto panels, in x on a finite piece and in
+    the compact chart on one with an infinite end.  One run of _refine
+    holds the panels of every piece, bisected until the estimates sum to
+    tol/10, or to _ROUNDOFF of the summed |panel values| if coarser.
     """
     if a > b:
         raise IntervalEmpty(f"rs_integral over [{a}, {b}]")
@@ -493,7 +492,9 @@ def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
                 return piece.hi_val
             return piece.fn(x)
 
-        segments.append((partial(_panel, F, G), compactify(lo), left,
-                         compactify(hi), right))
+        x_of, u_of = ((float, float) if math.isfinite(hi - lo)
+                      else (decompactify, compactify))
+        segments.append((partial(_panel, F, G, x_of), x_of, u_of(lo), left,
+                         u_of(hi), right))
     panels, _ = _refine(segments, tol, "Stieltjes")
     return total + math.fsum(value for _, _, value in panels)

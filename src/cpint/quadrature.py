@@ -161,24 +161,29 @@ def _scan_sign_changes(fn, start: float, first_step: float):
     """Generator of consecutive sign-change points of fn after start.  It
     ends after _SCAN_STEPS steps without a sign change; after the second
     zero a step is 0.35 of the last zero spacing.  A call of fn that
-    raises reads as NaN (cfun._safe); NaN and 0 make no sign change."""
-    t = start
-    v = _safe(fn, t)
+    raises reads as NaN (cfun._safe); NaN makes no sign change.  Scan
+    points where fn is exactly 0 are passed over: a sign change across
+    them yields the first of them, with no search."""
+    t = x = start
+    v = _safe(fn, t)    # at t: start, or the last scan point where fn != 0
     step = first_step
-    last_z = None
+    last_z = first_0 = None
     quiet = 0
     while quiet < _SCAN_STEPS:
         quiet += 1
-        t2 = t + step
-        v2 = _safe(fn, t2)
+        x += step
+        v2 = _safe(fn, x)
+        if v2 == 0.0:
+            first_0 = x if first_0 is None else first_0
+            continue
         if v * v2 < 0.0:
-            z = _illinois_zero(fn, t, v, t2, v2)
+            z = _illinois_zero(fn, t, v, x, v2) if first_0 is None else first_0
             if last_z is not None:
                 step = 0.35 * (z - last_z)
             last_z = z
             quiet = 0
             yield z
-        t, v = t2, v2
+        t, v, first_0 = x, v2, None
 
 
 @dataclass(frozen=True)
@@ -237,8 +242,8 @@ def _oscillatory_total(integrand, start, zeros, tol):
     prev_est = None
     rule = _gauss_rule(integrand)
     for z in zeros:
-        segments, _ = _refine([(rule, zs[-1], None, z, None)], tol, "lobe",
-                              _SEGMENT_CAP - len(table), float)
+        segments, _ = _refine([(rule, float, zs[-1], None, z, None)], tol,
+                              "lobe", _SEGMENT_CAP - len(table))
         area = math.fsum(float(row.sum()) for _, _, row in segments)
         table += segments
         areas.append(area)
@@ -287,8 +292,8 @@ def _settled_primitive(integrand, a: float, tol: float) -> HakeResult:
         x = decompactify(u)
         return integrand(x) * (1.0 + abs(x)) ** 2
 
-    segments, err = _refine([(_gauss_rule(H), compactify(a), None, 1.0,
-                              None)], tol, "settled", _SEGMENT_CAP)
+    segments, err = _refine([(_gauss_rule(H), decompactify, compactify(a),
+                              None, 1.0, None)], tol, "settled", _SEGMENT_CAP)
     # compactify can fall by one ulp just above a: the first segment
     # extrapolates there
     at_u, total = _primitive_table(segments)

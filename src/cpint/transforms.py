@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .bv import BVFunction, Piece, from_callable, monotone
+from .bv import BVFunction, Piece, from_callable, monotone, rs_integral
 from .cfun import DEFAULT_TOL, _tail_limit
 from .chart import INF, NEG_INF
 from .errors import DomainError, NoLimitAtInfinity
@@ -172,34 +172,29 @@ def growth_probe(f: Distribution, alpha: float, radii,
 def weighted_integral(F_loc, r: float, tol: float = DEFAULT_TOL) -> float:
     """int_0^inf f(t) e^(-rt) dt for f the derivative of F_loc, r >= 0.
 
-    Uses the identity F_r(x) = F(x) e^(-rx) - F(0) + r int_0^x F e^(-rt)
+    Uses the identity F_r(x) = F(x) e^(-rx) - F(0) + int_0^x F d(-e^(-rt))
     whose last term converges absolutely; membership in the weighted
     space is decided by a tail audit of F_r.  For r = 0 that is the tail
-    audit of F itself.  For r > 0 the audit stops at
-    cap = (log(1/tol) + 50)/r, where the weight is below tol e^(-50), and
-    samples F_r on [cap/2, cap): that is where a divergent F_r (for
-    F = e^(2x) at r = 1) still grows.
+    audit of F itself.  For r > 0 the audit samples F_r at
+    x_k = cap (1 - 2^-k), k = 1..8, with cap = (log(1/tol) + 50)/r: that
+    is where a divergent F_r (for F = e^(2x) at r = 1) still grows.  One
+    sweep of rs_integral over [x_(k-1), x_k], each to tol/10, builds the
+    Stieltjes term.
     """
     if r < 0.0:
         raise DomainError("weighted integral needs r >= 0")
     F0 = F_loc(0.0)
     if r == 0.0:
         return _tail_limit(F_loc, +1, tol) - F0
-    # rs_integral against -e^(-rt) would carry tol but does not finish:
-    # for F = x^5 at r = 0.01, at tol 1e-6 as at 1e-10, a 200,000-segment
-    # cap stops it on x in [576.2806, 576.2855] after 6.0M calls, although
-    # its goal is floored at the roundoff of its values
-    from scipy import integrate
-
-    def Fr(x: float) -> float:
-        val, _ = integrate.quad(lambda t: F_loc(t) * math.exp(-r * t),
-                                0.0, x, limit=400)
-        return F_loc(x) * math.exp(-r * x) - F0 + r * val
-
+    kernel = monotone(lambda t: -math.exp(-r * t), NEG_INF, 0.0)
     cap = (math.log(1.0 / tol) + 50.0) / r
     vals = []
+    lo = stieltjes = 0.0
     for k in range(1, 9):
-        v = Fr(cap * (1.0 - 2.0 ** -k))
+        x = cap * (1.0 - 2.0 ** -k)
+        stieltjes += rs_integral(F_loc, kernel, lo, x, tol)
+        lo = x
+        v = F_loc(x) * math.exp(-r * x) - F0 + stieltjes
         if not math.isfinite(v):
             raise NoLimitAtInfinity("weighted primitive overflows")
         vals.append(v)

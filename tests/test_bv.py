@@ -173,6 +173,38 @@ class TestRsIntegral:
             r"x in \[([^,]+), ([^\]]+)\]", str(info.value)).groups())
         assert lo <= 0.3 <= hi
 
+    def test_depth_cap_names_the_chart_panel(self):
+        # the same jump against a kernel over the whole line, whose
+        # segment is bisected in the compact chart, still names x
+        F = ContinuousFunctionBar(lambda x: 1.0 if x > 0.3 else 0.0,
+                                  0.0, 1.0)
+        g = monotone(math.atan, -math.pi / 2, math.pi / 2)
+        with pytest.raises(BudgetExceeded, match="panels") as info:
+            rs_integral(F, g, NEG_INF, INF, tol=1e-16)
+        lo, hi = (float(v) for v in re.search(
+            r"x in \[([^,]+), ([^\]]+)\]", str(info.value)).groups())
+        assert lo <= 0.3 <= hi
+
+    @pytest.mark.parametrize("r", [0.01, 0.015, 0.02])
+    def test_fast_growth_on_long_finite_piece(self, r):
+        # int x^5 d(-e^(-rx)) on [0, L] = 5!/r^5 up to e^(-73) relative.
+        # In the compact chart x near 577 is quantized to 3.7e-11, so
+        # x^5 carries noise far above the roundoff floor of the goal and
+        # the bisection never reached it; a finite piece runs in x
+        calls = 0
+
+        def quintic(x):
+            nonlocal calls
+            calls += 1
+            if calls > 50_000:
+                raise RuntimeError("error sum never reached the goal")
+            return x ** 5
+
+        g = monotone(lambda t: -math.exp(-r * t), NEG_INF, 0.0)
+        L = (math.log(1e10) + 50.0) / r
+        assert rs_integral(quintic, g, 0.0, L) == pytest.approx(
+            120.0 / r ** 5, rel=1e-12)
+
     @pytest.mark.parametrize("tol", [1e-10, 1e-12], ids=["default", "fine"])
     def test_error_sum_reaches_goal(self, tol):
         # int t^3 d(-e^(-0.1 t)) on [0, 1000] = 6 / 0.1^3 up to e^(-100).
@@ -255,9 +287,9 @@ class TestRsIntegralPinned:
     @pytest.mark.parametrize("case,value,f_calls,g_calls", [
         (_guard_smooth, "-0x1.1cb571a10d980p-1", 615, 615),
         (_guard_kinked, "0x1.ab274760490bap-1", 1455, 1455),
-        (_guard_jumps, "0x1.490cc495d46ccp+1", 457, 453),
+        (_guard_jumps, "0x1.490cc495d46ccp+1", 217, 213),
         (_guard_poisson, "-0x1.efb751fbad6a8p-2", 1023, 0),
-        (_guard_bump, "0x1.05eafd85cfcd5p-4", 399, 0),
+        (_guard_bump, "0x1.05eafd85cfcd6p-4", 399, 0),
     ], ids=["smooth", "kinked", "jumps", "poisson", "bump"])
     def test_values_and_calls(self, case, value, f_calls, g_calls):
         run, f_seen, g_seen = case()

@@ -26,8 +26,8 @@ class TestGaussSegment:
         p = np.polynomial.Polynomial(
             np.random.default_rng(7).uniform(-1.0, 1.0, 20))
         P = p.integ(lbnd=-1.0)
-        segments, _ = _refine([(_gauss_rule(p), -1.0, None, 2.0, None)],
-                              1e-10, "segment", 64, float)
+        segments, _ = _refine([(_gauss_rule(p), float, -1.0, None, 2.0,
+                                None)], 1e-10, "segment", 64)
         assert len(segments) > 1
         F, total = _primitive_table(segments)
         scale = np.abs(P(np.linspace(-1.0, 2.0, 301))).max()
@@ -349,6 +349,33 @@ class TestScan:
     def test_ends_after_last_zero(self):
         zs = _scan_sign_changes(lambda x: (x - 1.25) * (x - 3.25), 0.0, 0.5)
         assert list(zs) == [1.25, 3.25]
+
+    def test_zero_on_a_scan_point(self):
+        seen = []
+        zs = _scan_sign_changes(
+            lambda x: seen.append(x) or (x - 1.0) * (x - 3.0), 0.0, 0.5)
+        # yielded with no search: every call up to there is a scan point
+        assert (next(zs), next(zs)) == (1.0, 3.0)
+        assert seen == [0.5 * k for k in range(8)]
+        assert list(zs) == []
+
+    def test_double_zero_on_a_scan_point_is_no_sign_change(self):
+        zs = _scan_sign_changes(lambda x: (x - 1.0) ** 2 * (x - 3.0), 0.0, 0.5)
+        assert list(zs) == [3.0]
+
+    def test_triangle_wave_with_integer_zeros(self):
+        # (-1)^k t (1 - t) / (1 + x), k = floor(x), t = x - k: every zero
+        # is an integer, so the first two fall on scan points.  The lobe
+        # sum against mpmath's nsum, 0.0737216011824942090764785734038
+        def h(x):
+            k = math.floor(x)
+            t = x - k
+            return (-1.0) ** k * t * (1.0 - t) / (1.0 + x)
+
+        result = hake_from_integrand(h)
+        assert result.lobes_used > 0
+        assert result.total == pytest.approx(0.0737216011824942091,
+                                             abs=1e-12)
 
 
 class TestFiniteSignChanges:

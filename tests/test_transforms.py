@@ -105,6 +105,17 @@ class TestWeightedIntegral:
         assert weighted_integral(math.sin, 0.5) == pytest.approx(
             0.4, abs=1e-9)
 
+    def test_fast_growth_slow_weight(self):
+        # f = 5 x^4 against e^(-x/100): 5!/0.01^5 = 1.2e12
+        assert weighted_integral(lambda x: x ** 5, 0.01) == pytest.approx(
+            1.2e12, rel=1e-12)
+
+    def test_oscillating_density_within_tol(self):
+        # f = 2x cos(x^2) against e^(-x); mpmath's value over [0, 80]
+        # to 30 digits.  The value must be within the default tol 1e-10
+        assert weighted_integral(lambda x: math.sin(x * x), 1.0) == \
+            pytest.approx(0.270513580162214144, abs=1e-10)
+
     def test_membership_gate(self):
         with pytest.raises(NoLimitAtInfinity):
             weighted_integral(lambda x: x, 0.0)
