@@ -57,5 +57,6 @@ class UnknownFunction(CpintError):
     """Function name not in the expression language."""
 
 
-class EvalError(CpintError):
-    """Expression evaluation produced an undefined value."""
+class EvalError(CpintError, ValueError):
+    """Expression evaluation produced an undefined value.  A ValueError,
+    so that evaluators read it as NaN, as they read other math faults."""

@@ -14,13 +14,20 @@ interval cut by the sorted breakpoints b1 < ... < bk.
 
 Evaluation uses the convention that an exact zero factor absorbs a
 non-finite cofactor, so x^2 * cos(x^-2) evaluates to 0 at x = 0.
+
+A tree compiles once into one Python function of x: straight-line code
+with one temporary per node, so a call walks no tree.  Parsing, compiling
+and printing run on an explicit stack, so an expression may nest as
+deeply as memory allows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Any, Callable, Generator, Optional
 
 from .errors import EvalError, ExprSyntaxError, UnknownFunction
 
@@ -45,6 +52,10 @@ class Node:
     op: str = ""
     name: str = ""
     children: tuple["Node", ...] = ()
+
+    @cached_property
+    def _function(self) -> Callable[[float], float]:
+        return _compile(self)
 
 
 @dataclass(frozen=True)
@@ -97,7 +108,28 @@ def _tokenize(src: str) -> list[_Token]:
     return tokens
 
 
+_Step = Generator[Any, Any, Any]
+
+
+def _run(step: _Step) -> Any:
+    """Run a recursion written as generators on an explicit stack: a step
+    yields the step of a child and is sent back the child's result."""
+    stack, value = [step], None
+    while stack:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(child)
+            value = None
+    return value
+
+
 class _Parser:
+    """Recursive descent, one generator per rule, driven by _run."""
+
     def __init__(self, src: str):
         self.src = src
         self.tokens = _tokenize(src)
@@ -117,40 +149,44 @@ class _Parser:
             raise ExprSyntaxError(f"expected {text!r}", t.pos)
 
     def parse(self) -> Node:
-        node = self.expr()
+        node = _run(self.expr())
         t = self.peek()
         if t.kind != "end":
             raise ExprSyntaxError(f"unexpected {t.text!r}", t.pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> _Step:
+        node = yield self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.take().text
-            node = Node("bin", op=op, children=(node, self.term()))
+            right = yield self.term()
+            node = Node("bin", op=op, children=(node, right))
         return node
 
-    def term(self) -> Node:
-        node = self.unary()
+    def term(self) -> _Step:
+        node = yield self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.take().text
-            node = Node("bin", op=op, children=(node, self.unary()))
+            right = yield self.unary()
+            node = Node("bin", op=op, children=(node, right))
         return node
 
-    def unary(self) -> Node:
+    def unary(self) -> _Step:
         if self.peek().kind == "op" and self.peek().text == "-":
             self.take()
-            return Node("neg", children=(self.unary(),))
-        return self.power()
+            operand = yield self.unary()
+            return Node("neg", children=(operand,))
+        return (yield self.power())
 
-    def power(self) -> Node:
-        base = self.atom()
+    def power(self) -> _Step:
+        base = yield self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.take()
-            return Node("bin", op="^", children=(base, self.unary()))
+            exponent = yield self.unary()
+            return Node("bin", op="^", children=(base, exponent))
         return base
 
-    def atom(self) -> Node:
+    def atom(self) -> _Step:
         t = self.take()
         if t.kind == "num":
             return Node("num", value=float(t.text))
@@ -163,10 +199,10 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"unknown name {t.text!r} (did you mean a call?)", t.pos)
             self.take()
-            args = [self.expr()]
+            args = [(yield self.expr())]
             while self.peek().text == ",":
                 self.take()
-                args.append(self.expr())
+                args.append((yield self.expr()))
             self.expect(")")
             if t.text == "piecewise":
                 return _make_piecewise(args, t.pos)
@@ -177,7 +213,7 @@ class _Parser:
                     f"{t.text} takes one argument", t.pos)
             return Node("call", name=t.text, children=(args[0],))
         if t.kind == "op" and t.text == "(":
-            node = self.expr()
+            node = yield self.expr()
             self.expect(")")
             return node
         raise ExprSyntaxError(f"unexpected {t.text or 'end of input'!r}",
@@ -196,11 +232,16 @@ def _make_piecewise(args: list[Node], pos: int) -> Node:
                                     and b.children[0].kind == "num"):
             raise ExprSyntaxError("piecewise breakpoints must be numeric",
                                   pos)
-    cuts = [evaluate(b, 0.0) for b in breaks]
+    cuts = [_cut(b) for b in breaks]
     if any(cuts[i] >= cuts[i + 1] for i in range(len(cuts) - 1)):
         raise ExprSyntaxError("piecewise breakpoints must be increasing",
                               pos)
     return Node("piecewise", children=tuple(args))
+
+
+def _cut(b: Node) -> float:
+    """A piecewise breakpoint: a number or a negated number."""
+    return -b.children[0].value if b.kind == "neg" else b.value
 
 
 def parse(src: str) -> Node:
@@ -208,96 +249,157 @@ def parse(src: str) -> Node:
     return _Parser(src).parse()
 
 
-def _product(a: float, b: float) -> float:
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a * b
-
-
 def evaluate(node: Node, x: float) -> float:
-    """Evaluate a parsed tree at x; arithmetic faults become EvalError."""
-    try:
-        return _eval(node, x)
-    except (OverflowError, ValueError, ZeroDivisionError) as exc:
-        raise EvalError(f"evaluation failed at x={x!r}: {exc}") from exc
-
-
-def _eval(node: Node, x: float) -> float:
-    if node.kind == "num":
-        return node.value
-    if node.kind == "var":
-        return x
-    if node.kind == "neg":
-        return -_eval(node.children[0], x)
-    if node.kind == "call":
-        return float(_FUNCTIONS[node.name](_eval(node.children[0], x)))
-    if node.kind == "piecewise":
-        k = (len(node.children) - 1) // 2
-        cuts = [_eval(b, 0.0) for b in node.children[:k]]
-        branches = node.children[k:]
-        idx = 0
-        while idx < k and x >= cuts[idx]:
-            idx += 1
-        return _eval(branches[idx], x)
-    # binary operator
-    a = _eval(node.children[0], x)
-    if node.op == "*":
-        # exact zero absorbs a non-finite cofactor: x^2 * cos(x^-2) is 0
-        # at x = 0
-        if a == 0.0:
-            return 0.0
-        b = _eval(node.children[1], x)
-        return _product(a, b)
-    b = _eval(node.children[1], x)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "/":
-        return a / b
-    if node.op == "^":
-        if a == 0.0 and b > 0.0:
-            return 0.0
-        return math.pow(a, b)
-    raise EvalError(f"unknown operator {node.op!r}")
+    """Evaluate a parsed tree at x; arithmetic faults become EvalError.
+    The tree compiles on its first evaluation and keeps the function."""
+    return node._function(x)
 
 
 def compile_expr(src: str) -> Callable[[float], float]:
-    """Parse once, return a float -> float evaluator."""
-    tree = parse(src)
-    return lambda x: evaluate(tree, x)
+    """Parse and compile once, return a float -> float evaluator."""
+    return parse(src)._function
+
+
+_FAULTS = (OverflowError, ValueError, ZeroDivisionError)
+
+
+def _fault(x: float, exc: Exception) -> EvalError:
+    return EvalError(f"evaluation failed at x={x!r}: {exc}")
+
+
+# The only names the generated code reads, besides x and its temporaries.
+_NAMESPACE = {"_float": float, "_pow": math.pow, "_inf": math.inf,
+              "_FAULTS": _FAULTS, "_fault": _fault,
+              **{f"f_{name}": fn for name, fn in _FUNCTIONS.items()}}
+
+
+def _literal(v: float) -> str:
+    if math.isfinite(v):
+        return repr(v)
+    return "_inf" if v > 0.0 else "-_inf"
+
+
+class _Codegen:
+    """Straight-line code for one tree, one temporary per node, in the
+    order the tree is evaluated.  What may be skipped (the right factor
+    of a product whose left factor is 0.0, the branches of a piecewise)
+    runs under a flag, as 'if g3: t7 = ...', so no line nests.  A step
+    returns the code of the node's value: a literal, x or a temporary."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.ids = itertools.count()
+
+    def assign(self, code: str, guard: Optional[str] = None,
+               prefix: str = "t") -> str:
+        name = f"{prefix}{next(self.ids)}"
+        self.lines.append(f"if {guard}: {name} = {code}" if guard
+                          else f"{name} = {code}")
+        return name
+
+    def flag(self, guard: Optional[str], *tests: str) -> str:
+        return self.assign(" and ".join(filter(None, (guard,) + tests)),
+                           prefix="g")
+
+    def node(self, node: Node, guard: Optional[str]) -> _Step:
+        if node.kind == "num":
+            return _literal(float(node.value))
+        if node.kind == "var":
+            return "x"
+        if node.kind == "piecewise":
+            return (yield from self.piecewise(node, guard))
+        a = yield self.node(node.children[0], guard)
+        if node.kind == "neg":
+            return self.assign(f"-{a}", guard)
+        if node.kind == "call":
+            if node.name not in _FUNCTIONS:
+                raise UnknownFunction(f"unknown function {node.name!r}")
+            return self.assign(f"_float(f_{node.name}({a}))", guard)
+        right = node.children[1]
+        if node.op == "*":
+            # an exact zero absorbs a non-finite cofactor: x^2 * cos(x^-2)
+            # is 0 at x = 0, and the right factor is not evaluated
+            inner = guard
+            if right.kind not in ("num", "var"):
+                inner = self.flag(guard, f"{a} != 0.0")
+            b = yield self.node(right, inner)
+            return self.assign(
+                f"0.0 if {a} == 0.0 or {b} == 0.0 else {a} * {b}", guard)
+        b = yield self.node(right, guard)
+        if node.op == "^":
+            return self.assign(
+                f"0.0 if {a} == 0.0 and {b} > 0.0 else _pow({a}, {b})", guard)
+        if node.op in ("+", "-", "/"):
+            return self.assign(f"{a} {node.op} {b}", guard)
+        raise EvalError(f"unknown operator {node.op!r}")
+
+    def piecewise(self, node: Node, guard: Optional[str]) -> _Step:
+        # branch i where x >= cut i-1 and not x >= cut i: as the cuts
+        # increase, the branch the scan 'while x >= cut: next' stops at,
+        # so NaN takes branch 0
+        k = (len(node.children) - 1) // 2
+        cuts = [_literal(_cut(b)) for b in node.children[:k]]
+        out = f"t{next(self.ids)}"
+        for i, branch in enumerate(node.children[k:]):
+            taken = self.flag(guard, f"x >= {cuts[i - 1]}" if i > 0 else "",
+                              f"not x >= {cuts[i]}" if i < k else "")
+            value = yield self.node(branch, taken)
+            self.lines.append(f"if {taken}: {out} = {value}")
+        return out
+
+
+def _compile(tree: Node) -> Callable[[float], float]:
+    """The tree as one Python function of x.  Its source holds only
+    float literals and the names of _NAMESPACE, never text of the
+    expression."""
+    gen = _Codegen()
+    value = _run(gen.node(tree, None))
+    body = "".join(f"        {line}\n" for line in gen.lines)
+    source = ("def expression(x):\n"
+              "    try:\n"
+              f"{body}"
+              f"        return {value}\n"
+              "    except _FAULTS as exc:\n"
+              "        raise _fault(x, exc) from exc\n")
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["expression"]
 
 
 def unparse(node: Node) -> str:
     """Print a tree back to source; parse(unparse(t)) equals t."""
-    return _unparse(node, 0)
+    return _run(_unparse(node, 0))
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
-def _unparse(node: Node, parent_prec: int) -> str:
+def _unparse(node: Node, parent_prec: int) -> _Step:
     if node.kind == "num":
-        return repr(node.value)
+        # the grammar has no name for inf; 1e999 parses to it
+        return repr(node.value) if math.isfinite(node.value) else "1e999"
     if node.kind == "var":
         return "x"
     if node.kind == "neg":
-        inner = _unparse(node.children[0], 3)
+        inner = yield _unparse(node.children[0], 3)
         out = f"-{inner}"
         return f"({out})" if parent_prec > 3 else out
     if node.kind == "call":
-        return f"{node.name}({_unparse(node.children[0], 0)})"
+        arg = yield _unparse(node.children[0], 0)
+        return f"{node.name}({arg})"
     if node.kind == "piecewise":
-        args = ", ".join(_unparse(c, 0) for c in node.children)
-        return f"piecewise({args})"
+        args = []
+        for c in node.children:
+            args.append((yield _unparse(c, 0)))
+        return f"piecewise({', '.join(args)})"
     prec = _PREC[node.op]
     # left child at this precedence, right child one tighter for the
     # left-associative operators; ^ is right-associative so mirrored
     if node.op == "^":
-        left = _unparse(node.children[0], prec + 1)
-        right = _unparse(node.children[1], prec)
+        left = yield _unparse(node.children[0], prec + 1)
+        right = yield _unparse(node.children[1], prec)
     else:
-        left = _unparse(node.children[0], prec)
-        right = _unparse(node.children[1], prec + 1)
+        left = yield _unparse(node.children[0], prec)
+        right = yield _unparse(node.children[1], prec + 1)
     out = f"{left} {node.op} {right}"
     return f"({out})" if parent_prec > prec else out

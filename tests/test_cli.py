@@ -33,6 +33,14 @@ class TestIntegrate:
                                       abs=1e-6)
         assert "lobes" in err
 
+    def test_hake_sinc_from_zero(self):
+        # sin(x)/x is 0/0 at x = 0: the evaluator's EvalError reads as NaN
+        code, out, _ = invoke("integrate", "--hake", "--primitive-of",
+                              "sin(x)/x", "--from", "0", "--to", "inf")
+        assert code == 0
+        value = float(out.strip().splitlines()[1].split(",")[2])
+        assert value == pytest.approx(math.pi / 2.0, abs=1e-6)
+
     def test_fixture_total(self):
         code, out, _ = invoke("integrate", "--fixture", "arctan",
                               "--from=-inf", "--to", "inf")
