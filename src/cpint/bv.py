@@ -262,7 +262,6 @@ def from_knots(knots: Sequence[float], values: Sequence[float],
 
 def from_callable(fn: Callable[[float], float], lo: float, hi: float,
                   limit_lo: float, limit_hi: float,
-                  outside_lo: float = None, outside_hi: float = None,
                   samples: int = 2049) -> BVFunction:
     """Split a sampled continuous function on [lo, hi] into monotone
     pieces at numerically located extrema; constant outside [lo, hi].
@@ -295,16 +294,8 @@ def from_callable(fn: Callable[[float], float], lo: float, hi: float,
         pieces.append(Piece(prev, k, fn, prev_val, v))
         prev, prev_val = k, v
     pieces.append(Piece(prev, hi, fn, prev_val, limit_hi))
-    if not math.isfinite(lo):
-        head = []
-    else:
-        head = [_const_piece(NEG_INF, lo,
-                             outside_lo if outside_lo is not None else limit_lo)]
-    if not math.isfinite(hi):
-        tail = []
-    else:
-        tail = [_const_piece(hi, INF,
-                             outside_hi if outside_hi is not None else limit_hi)]
+    head = [_const_piece(NEG_INF, lo, limit_lo)] if math.isfinite(lo) else []
+    tail = [_const_piece(hi, INF, limit_hi)] if math.isfinite(hi) else []
     return BVFunction(head + pieces + tail)
 
 

@@ -6,13 +6,21 @@ quasi-uniform convergence is the exact condition keeping the pointwise
 limit of primitives continuous.  All verdicts are evidence-grade: a
 finite battery and a finite n-range can falsify, never prove, so every
 report carries its numeric evidence rows and the range tested.
+
+An evidence row is (label, n, value).  For the weak pairings, the
+theorem checkers and the BV limit, value is the pairing, sup or gap at
+that n, one row per label and n on the ladder; for equicontinuity it is
+the widest delta found, or 0.0 when there is none.  A quasi-uniform
+report has one row per point: the first failing (N, eps), or
+(n_max, 0.0) when the check holds.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from .bv import BVFunction, blocks, constant, heaviside, indicator, monotone
@@ -112,26 +120,43 @@ def default_bv_battery() -> list[tuple[str, BVFunction]]:
     ]
 
 
+def _ladder(n_max: int) -> list[int]:
+    return [n for n in _N_LADDER if n <= n_max] or [n_max]
+
+
+def _report(mode: str, ns: Sequence[int], series,
+            classify: Callable[[list], Verdict]) -> ConvergenceReport:
+    """One evidence row per (label, n) and one verdict per label, from
+    (label, values at each n in ns) pairs."""
+    rows = []
+    verdicts = {}
+    for label, vals in series:
+        rows += [EvidenceRow(label, n, v) for n, v in zip(ns, vals)]
+        verdicts[label] = classify(vals)
+    return ConvergenceReport(mode, _combine(verdicts.values()), verdicts,
+                             tuple(rows), (ns[0], ns[-1]))
+
+
+def _pairing_report(mode, pair, seq, candidate, battery, n_max,
+                    tol) -> ConvergenceReport:
+    """Trends of pair(f_n - candidate, g, tol) for each (label, g)."""
+    ns = _ladder(n_max)
+    diffs = [linear_combine(-1.0, candidate, seq(n)) for n in ns]
+    return _report(mode, ns, ((label, [pair(d, g, tol) for d in diffs])
+                              for label, g in battery),
+                   lambda vals: _trend_verdict(vals, tol))
+
+
 def weak_d_report(seq: DistributionSequence, candidate: Distribution,
                   battery: Optional[Sequence[TestFunction]] = None,
                   n_max: int = DEFAULT_N_MAX,
                   tol: float = DEFAULT_TOL) -> ConvergenceReport:
     """Pairings <f_n - candidate, phi> across the battery, with trends."""
-    battery = list(battery) if battery is not None else default_test_battery()
-    ns = [n for n in _N_LADDER if n <= n_max] or [n_max]
-    rows = []
-    verdicts = {}
-    for i, phi in enumerate(battery):
-        label = f"bump(c={phi.center:g},w={phi.width:g})"
-        vals = []
-        for n in ns:
-            diff = linear_combine(-1.0, candidate, seq(n))
-            v = pair_with_test(diff, phi, tol)
-            vals.append(v)
-            rows.append(EvidenceRow(label, n, v))
-        verdicts[label] = _trend_verdict(vals, tol)
-    return ConvergenceReport("weak_d", _combine(verdicts.values()),
-                             verdicts, tuple(rows), (ns[0], ns[-1]))
+    phis = default_test_battery() if battery is None else battery
+    return _pairing_report(
+        "weak_d", pair_with_test, seq, candidate,
+        [(f"bump(c={phi.center:g},w={phi.width:g})", phi) for phi in phis],
+        n_max, tol)
 
 
 def weak_bv_report(seq: DistributionSequence, candidate: Distribution,
@@ -147,19 +172,8 @@ def weak_bv_report(seq: DistributionSequence, candidate: Distribution,
     if not any(isinstance(g, BVFunction) and g.variation() == 0.0
                and g.value_pos_inf == 1.0 for _, g in battery):
         battery = [("one", constant(1.0))] + battery
-    ns = [n for n in _N_LADDER if n <= n_max] or [n_max]
-    rows = []
-    verdicts = {}
-    for label, g in battery:
-        vals = []
-        for n in ns:
-            diff = linear_combine(-1.0, candidate, seq(n))
-            v = integral_product(diff, g, tol)
-            vals.append(v)
-            rows.append(EvidenceRow(label, n, v))
-        verdicts[label] = _trend_verdict(vals, tol)
-    return ConvergenceReport("weak_bv", _combine(verdicts.values()),
-                             verdicts, tuple(rows), (ns[0], ns[-1]))
+    return _pairing_report("weak_bv", integral_product, seq, candidate,
+                           battery, n_max, tol)
 
 
 _EPS_LADDER = (1.0, 0.5, 0.1, 0.05, 0.01)
@@ -183,16 +197,13 @@ def _neighborhood_samples(x: float, delta: float) -> list[float]:
     return ys
 
 
-def _qu_holds_at(seq_prims, F_limit, x: float, eps: float, N: int,
-                 n_max: int) -> bool:
-    """Search n >= N and a delta witnessing quasi-uniformity at x."""
-    for n in range(N, n_max + 1):
-        Fn = seq_prims(n)
-        for delta in _DELTA_LADDER:
-            if all(abs(Fn(y) - F_limit(y)) < eps
-                   for y in _neighborhood_samples(x, delta)):
-                return True
-    return False
+def _widest_delta(gap: Callable[[float], float], x: float,
+                  eps: float) -> float:
+    """The widest delta on the ladder with |gap| < eps throughout the
+    sampled delta-neighbourhood of x, or 0.0 when there is none."""
+    return next((delta for delta in _DELTA_LADDER
+                 if all(abs(gap(y)) < eps
+                        for y in _neighborhood_samples(x, delta))), 0.0)
 
 
 def quasi_uniform_check(seq: DistributionSequence,
@@ -205,29 +216,18 @@ def quasi_uniform_check(seq: DistributionSequence,
     some n >= N and some delta must make |F_n - F| < eps throughout the
     sampled delta-neighbourhood (the half-lines y > 1/delta at +-inf).
     """
-    prim_cache: dict[int, ContinuousFunctionBar] = {}
-
-    def prims(n: int):
-        if n not in prim_cache:
-            prim_cache[n] = seq(n).primitive
-        return prim_cache[n]
-
+    prim = functools.cache(lambda n: seq(n).primitive)
+    levels = [1, max(1, n_max // 4), max(1, n_max // 2)]
     rows = []
     verdicts = {}
-    ns_levels = [1, max(1, n_max // 4), max(1, n_max // 2)]
     for x in points:
-        ok = True
-        for eps in _EPS_LADDER:
-            for N in ns_levels:
-                if not _qu_holds_at(prims, F_limit, x, eps, N, n_max):
-                    ok = False
-                    rows.append(EvidenceRow(f"x={x:g}", N, eps))
-                    break
-            if not ok:
-                break
-        verdicts[f"x={x:g}"] = Verdict.HOLDS if ok else Verdict.FAILS
-        if ok:
-            rows.append(EvidenceRow(f"x={x:g}", n_max, 0.0))
+        # the first (N, eps) with no witness n >= N, or (n_max, 0.0)
+        N, eps = next(((N, eps) for eps in _EPS_LADDER for N in levels
+                       if not any(_widest_delta(
+                           lambda y, Fn=prim(n): Fn(y) - F_limit(y), x, eps)
+                           for n in range(N, n_max + 1))), (n_max, 0.0))
+        verdicts[f"x={x:g}"] = Verdict.FAILS if eps else Verdict.HOLDS
+        rows.append(EvidenceRow(f"x={x:g}", N, eps))
     return ConvergenceReport("quasi_uniform", _combine(verdicts.values()),
                              verdicts, tuple(rows), (1, n_max))
 
@@ -245,84 +245,51 @@ def theorem_checkers(seq: DistributionSequence,
     hypothesis set licenses it, a numeric verification of the licensed
     conclusion.
     """
-    ns = [n for n in _N_LADDER if n <= n_max] or [n_max]
+    ns = _ladder(n_max)
     prims = {n: seq(n).primitive for n in ns}
     F = candidate.primitive
-    out = {}
 
-    # uniform boundedness on compacts: sup |F_n| must stop growing
-    bound_rows = []
-    bound_verdicts = {}
-    for (a, b) in compacts:
-        xs = [a + (b - a) * i / 256 for i in range(257)]
-        sups = []
-        for n in ns:
-            Fn = prims[n]
-            sups.append(max(abs(Fn(x)) for x in xs))
-            bound_rows.append(EvidenceRow(f"[{a:g},{b:g}]", n, sups[-1]))
+    def gaps(xs):
+        # F_n(x) - F(x) along the ladder at each probe x
+        return [(f"x={x:g}", [prims[n](x) - F(x) for n in ns]) for x in xs]
+
+    def trend(vals):
+        return _trend_verdict(vals, max(tol, 1e-6))
+
+    def bounded(sups):
+        # sup |F_n| on a compact must stop growing
         tail = sups[-_TREND_WINDOW:]
         head_max = max(sups[:max(1, len(sups) - _TREND_WINDOW)])
-        growing = all(b2 > a2 * 1.05 for a2, b2 in zip(tail, tail[1:])) \
+        growing = all(b > a * 1.05 for a, b in zip(tail, tail[1:])) \
             and tail[-1] > 2.0 * (head_max + tol)
-        bound_verdicts[f"[{a:g},{b:g}]"] = (
-            Verdict.FAILS if growing else Verdict.HOLDS)
-    out["uniform_bounded"] = ConvergenceReport(
-        "uniform_bounded", _combine(bound_verdicts.values()),
-        bound_verdicts, tuple(bound_rows), (ns[0], ns[-1]))
+        return Verdict.FAILS if growing else Verdict.HOLDS
 
-    # pointwise convergence of primitives at probe points
-    probes = [NEG_INF, -5.0, -1.0, 0.0, 1.0, 5.0, INF]
-    pw_rows = []
-    pw_verdicts = {}
-    for x in probes:
-        vals = [prims[n](x) - F(x) for n in ns]
-        pw_verdicts[f"x={x:g}"] = _trend_verdict(vals, max(tol, 1e-6))
-        pw_rows.extend(EvidenceRow(f"x={x:g}", n, v)
-                       for n, v in zip(ns, vals))
-    out["pointwise"] = ConvergenceReport(
-        "pointwise", _combine(pw_verdicts.values()), pw_verdicts,
-        tuple(pw_rows), (ns[0], ns[-1]))
-
-    # equicontinuity: the delta needed at each probe must not shrink to 0
-    # as n grows
-    eq_rows = []
-    eq_verdicts = {}
-    eps = 0.5
-    for x in probes:
-        deltas = []
-        for n in ns:
-            Fn = prims[n]
-            ref = Fn(x)
-            found = 0.0
-            for delta in _DELTA_LADDER:
-                if all(abs(Fn(y) - ref) < eps
-                       for y in _neighborhood_samples(x, delta)):
-                    found = delta
-                    break
-            deltas.append(found)
-            eq_rows.append(EvidenceRow(f"x={x:g}", n, found))
+    def steady(deltas):
+        # the delta needed at a probe must not shrink to 0 as n grows
         tail = deltas[-_TREND_WINDOW:]
         shrinking = 0.0 in tail or min(tail) <= max(deltas[:3]) / 32.0
-        eq_verdicts[f"x={x:g}"] = (Verdict.FAILS if shrinking
-                                   else Verdict.HOLDS)
-    out["equicontinuous"] = ConvergenceReport(
-        "equicontinuous", _combine(eq_verdicts.values()), eq_verdicts,
-        tuple(eq_rows), (ns[0], ns[-1]))
+        return Verdict.FAILS if shrinking else Verdict.HOLDS
 
+    probes = [NEG_INF, -5.0, -1.0, 0.0, 1.0, 5.0, INF]
+    sup_series = ((f"[{a:g},{b:g}]",
+                   [max(abs(prims[n](a + (b - a) * i / 256))
+                        for i in range(257)) for n in ns])
+                  for a, b in compacts)
+    delta_series = ((f"x={x:g}",
+                     [_widest_delta(lambda y, Fn=prims[n], ref=prims[n](x):
+                                    Fn(y) - ref, x, 0.5) for n in ns])
+                    for x in probes)
+    out = {"uniform_bounded": _report("uniform_bounded", ns, sup_series,
+                                      bounded),
+           "pointwise": _report("pointwise", ns, gaps(probes), trend),
+           "equicontinuous": _report("equicontinuous", ns, delta_series,
+                                     steady)}
     # licensed conclusion: when uniform boundedness and pointwise
     # convergence both pass, the integrals over (-inf, x] must converge
     if (out["uniform_bounded"].verdict is Verdict.HOLDS
             and out["pointwise"].verdict is Verdict.HOLDS):
-        conc_rows = []
-        conc_verdicts = {}
-        for x in (-1.0, 0.0, 2.0, INF):
-            vals = [prims[n](x) - F(x) for n in ns]
-            conc_verdicts[f"x={x:g}"] = _trend_verdict(vals, max(tol, 1e-6))
-            conc_rows.extend(EvidenceRow(f"x={x:g}", n, v)
-                             for n, v in zip(ns, vals))
-        out["conclusion_integrals"] = ConvergenceReport(
-            "conclusion_integrals", _combine(conc_verdicts.values()),
-            conc_verdicts, tuple(conc_rows), (ns[0], ns[-1]))
+        out["conclusion_integrals"] = _report(
+            "conclusion_integrals", ns, gaps((-1.0, 0.0, 2.0, INF)), trend)
     return out
 
 
@@ -333,22 +300,16 @@ def bv_limit_check(f: Distribution,
                    tol: float = DEFAULT_TOL) -> ConvergenceReport:
     """Uniform-variation convergence: Vg_n <= M and g_n -> g pointwise
     force int f g_n -> int f g; verifies both hypothesis and conclusion."""
-    ns = [n for n in _N_LADDER if n <= n_max] or [n_max]
+    ns = _ladder(n_max)
     target = integral_product(f, g_limit, tol)
     variations = [g_seq(n).variation() for n in ns]
     bounded = max(variations) <= 2.0 * max(variations[0], 1.0) + tol
-    rows = []
-    vals = []
-    for n in ns:
-        v = integral_product(f, g_seq(n), tol) - target
-        vals.append(v)
-        rows.append(EvidenceRow("int_f_gn_minus_target", n, v))
-    verdict = _trend_verdict(vals, max(tol, 1e-6))
-    if not bounded:
-        verdict = Verdict.INCONCLUSIVE
-    return ConvergenceReport("bv_limit", verdict,
-                             {"int_f_gn": verdict}, tuple(rows),
-                             (ns[0], ns[-1]))
+    rep = _report("bv_limit", ns, [(
+        "int_f_gn_minus_target",
+        [integral_product(f, g_seq(n), tol) - target for n in ns])],
+        lambda vals: (_trend_verdict(vals, max(tol, 1e-6)) if bounded
+                      else Verdict.INCONCLUSIVE))
+    return replace(rep, element_verdicts={"int_f_gn": rep.verdict})
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ _FUNCTIONS: dict[str, Callable[[float], float]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Node:
     kind: str  # "num" | "var" | "neg" | "bin" | "call" | "piecewise"
     value: float = 0.0
@@ -367,7 +367,9 @@ def _compile(tree: Node) -> Callable[[float], float]:
 
 
 def unparse(node: Node) -> str:
-    """Print a tree back to source; parse(unparse(t)) equals t."""
+    """Print a tree back to source.  Printing is a fixed point,
+    unparse(parse(unparse(t))) == unparse(t), and parse(unparse(t)) has
+    t's values."""
     return _run(_unparse(node, 0))
 
 

@@ -110,7 +110,6 @@ def _laplace_kernel_bv(z: complex, part: str, n: int,
     oscillations = 1 + int(T * abs(y) / math.pi)
     samples = min(65537, max(4097, 64 * oscillations))
     return from_callable(kernel, 0.0, T, kernel(0.0), kernel(T),
-                         outside_lo=kernel(0.0), outside_hi=kernel(T),
                          samples=samples)
 
 

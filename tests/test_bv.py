@@ -318,11 +318,11 @@ class TestFromCallable:
         assert cuts == pytest.approx([math.pi, 2.0 * math.pi], abs=2e-8)
         assert [math.cos(b) for b in cuts] == [-1.0, 1.0]
 
-    def test_jump_at_finite_hi_counted(self):
+    def test_finite_hi_is_one_breakpoint(self):
         g = from_callable(lambda t: math.cos(t), 0.0, 7.0, 1.0,
-                          math.cos(7.0), outside_hi=5.0)
+                          math.cos(7.0))
         assert g.breakpoints.count(7.0) == 1
-        # 4 from the two half swings, then cos 7 back up to 1, then the
-        # jump from cos 7 to 5
+        # 4 from the two half swings, then cos 7 back up to 1; constant
+        # cos 7 past the window, so no jump there
         assert variation(g) == pytest.approx(
-            4.0 + (1.0 - math.cos(7.0)) + (5.0 - math.cos(7.0)), rel=1e-12)
+            4.0 + (1.0 - math.cos(7.0)), rel=1e-12)

@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from cpint.bv import BVFunction, Piece, blocks, monotone
+from cpint.bv import BVFunction, Piece, blocks, constant, monotone
 from cpint.cfun import bump
 from cpint.chart import INF, NEG_INF
-from cpint.convergence import (Verdict, bv_limit_check, fixtures,
+from cpint.convergence import (EvidenceRow, Verdict, bv_limit_check,
+                               default_bv_battery, fixtures,
                                quasi_uniform_check, strong_distance,
                                theorem_checkers, weak_bv_report,
                                weak_d_report)
@@ -83,6 +84,47 @@ class TestQuasiUniform:
             rep = quasi_uniform_check(seq, lambda x: 0.0,
                                       points=[0.0, 1.0, INF], n_max=32)
             assert rep.verdict is Verdict.HOLDS
+
+    def test_ramp_against_step_fails_at_the_jump(self):
+        # just left of 1, F_n = x^n is near 1 while the step is 0, so no
+        # n and no delta keep the gap below eps = 0.5 around x = 1
+        rep = quasi_uniform_check(fixtures("power_ramp"),
+                                  lambda x: 1.0 if x >= 1.0 else 0.0,
+                                  points=[0.5, 1.0], n_max=32)
+        assert rep.verdict is Verdict.FAILS
+        assert rep.element_verdicts == {"x=0.5": Verdict.HOLDS,
+                                        "x=1": Verdict.FAILS}
+        # a holding point reports (n_max, 0.0), a failing one its first
+        # failing (N, eps)
+        assert rep.evidence == (EvidenceRow("x=0.5", 32, 0.0),
+                                EvidenceRow("x=1", 1, 0.5))
+        assert rep.n_range == (1, 32)
+
+
+class TestEvidenceLayout:
+    def test_weak_bv_rows_label_major_on_the_ladder(self):
+        rep = weak_bv_report(fixtures("traveling_block"), zero(), n_max=16)
+        ladder = [1, 2, 3, 4, 6, 8, 12, 16]
+        labels = [label for label, _ in default_bv_battery()]
+        assert [(r.label, r.n) for r in rep.evidence] == [
+            (label, n) for label in labels for n in ladder]
+        assert rep.n_range == (1, 16)
+        assert list(rep.element_verdicts) == labels
+
+    def test_pointwise_labels_span_the_extended_line(self):
+        out = theorem_checkers(fixtures("signed_blocks"), zero(), n_max=16)
+        labels = list(out["pointwise"].element_verdicts)
+        assert labels == ["x=-inf", "x=-5", "x=-1", "x=0", "x=1", "x=5",
+                          "x=inf"]
+
+    def test_bv_limit_label_and_key(self):
+        f = gaussian_distribution()
+        rep = bv_limit_check(f, lambda n: constant(1.0), constant(1.0),
+                             n_max=4)
+        assert {r.label for r in rep.evidence} == {"int_f_gn_minus_target"}
+        assert [r.n for r in rep.evidence] == [1, 2, 3, 4]
+        assert rep.element_verdicts == {"int_f_gn": rep.verdict}
+        assert rep.verdict is Verdict.HOLDS
 
 
 class TestTheoremCheckers:

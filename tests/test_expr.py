@@ -269,6 +269,14 @@ class TestDeepExpressions:
         with pytest.raises(ExprSyntaxError):
             parse("x*(" * 5000 + "x" + ")" * 4999)
 
+    def test_identity_hash_and_repr_of_deep_tree(self):
+        src = " + ".join(["x"] * 5000)
+        tree = parse(src)
+        assert tree == tree
+        assert tree != parse(src)
+        assert hash(tree) == hash(tree)
+        assert repr(tree).startswith("<cpint.expr.Node object")
+
 
 class TestEvalErrorReadsAsNaN:
     """An EvalError is a ValueError, so evaluators read it as NaN, as
