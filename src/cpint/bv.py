@@ -239,10 +239,7 @@ def monotone(fn: Callable[[float], float], limit_neg: float,
     return BVFunction([Piece(NEG_INF, INF, fn, limit_neg, limit_pos)])
 
 
-def from_knots(knots: Sequence[float], values: Sequence[float],
-               value_neg_inf: Optional[float] = None,
-               value_pos_inf: Optional[float] = None,
-               point_values: Optional[dict[float, float]] = None) -> BVFunction:
+def from_knots(knots: Sequence[float], values: Sequence[float]) -> BVFunction:
     """Continuous piecewise-linear interpolant through (knots, values),
     constant beyond the first and last knot."""
     if len(knots) != len(values) or len(knots) < 2:
@@ -256,8 +253,7 @@ def from_knots(knots: Sequence[float], values: Sequence[float],
                             lambda x, x0=x0, v0=v0, slope=slope:
                             v0 + slope * (x - x0), v0, v1))
     pieces.append(_const_piece(knots[-1], INF, values[-1]))
-    return BVFunction(pieces, point_values=point_values,
-                      value_neg_inf=value_neg_inf, value_pos_inf=value_pos_inf)
+    return BVFunction(pieces)
 
 
 def from_callable(fn: Callable[[float], float], lo: float, hi: float,

@@ -195,8 +195,9 @@ class HakeResult:
     lobes_used: int       # 0 for the settled path
     cutoff: float         # evaluator switches to the tail model here
     # estimated sup distance between the stored and the true primitive:
-    # the tail model's defect on the lobe path, the summed error estimate
-    # of the final segments on the settled path
+    # on the lobe path the tail model's jump at the cutoff plus the last
+    # lobe's area, on the settled path the summed error estimate of the
+    # final segments
     defect_bound: float
 
 
@@ -222,9 +223,9 @@ def _gauss_rule(h):
 
 def _oscillatory_total(integrand, start, zeros, tol):
     """Accelerated limit of the cumulative integral along lobe sums, with
-    the lobe boundaries, the partial sums, and the lobe table's segments;
-    None if the zeros run out first, so that h keeps its sign after the
-    last of them.
+    the lobe boundary where the loop stopped, the number of lobes, the
+    last lobe's area and the lobe table's segments; None if the zeros run
+    out first, so that h keeps its sign after the last of them.
 
     Acceleration alone would assign Abel-style values to divergent
     oscillations like sin(x), so convergence additionally requires the
@@ -232,7 +233,6 @@ def _oscillatory_total(integrand, start, zeros, tol):
     being accumulated until one drops below _DEFECT_TARGET, which bounds
     the tail-model defect of the stored primitive.
     """
-    zs = [start]
     table = []
     areas = []
     sums = []
@@ -240,15 +240,16 @@ def _oscillatory_total(integrand, start, zeros, tol):
     settled = 0
     decay_failures = 0
     prev_est = None
+    lo = start
     rule = _gauss_rule(integrand)
     for z in zeros:
-        segments, _ = _refine([(rule, float, zs[-1], None, z, None)], tol,
+        segments, _ = _refine([(rule, float, lo, None, z, None)], tol,
                               "lobe", _SEGMENT_CAP - len(table))
         area = math.fsum(float(row.sum()) for _, _, row in segments)
         table += segments
         areas.append(area)
         sums.append((sums[-1] if sums else 0.0) + area)
-        zs.append(z)
+        lo = z
         if total is None and len(sums) >= 10:
             est = epsilon_limit(sums[-_ACCEL_TAIL:])
             if prev_est is not None and abs(est - prev_est) < 1e-13 * (
@@ -271,23 +272,24 @@ def _oscillatory_total(integrand, start, zeros, tol):
                             "integral has no limit")
         if total is not None and abs(area) < _DEFECT_TARGET:
             break
-        if len(zs) > _MAX_LOBES:
+        if len(sums) >= _MAX_LOBES:
             break
     else:
         return None
     if total is None:
         raise NoLimitAtInfinity(
             "lobe sums did not settle within the lobe budget")
-    return total, zs, sums, table
+    return total, lo, len(sums), area, table
 
 
-def _settled_primitive(integrand, a: float, tol: float) -> HakeResult:
-    """Primitive on [a, inf) of an integrand h that keeps its sign after
-    the scan's last zero: dx is (1+|x|)^2 du in the chart, so the Gauss
-    rule integrates H = h (1+|x|)^2 over [u(a), 1], bisected by bv's loop
-    to tol, or to the roundoff of the total if that is coarser.  The rows
-    of the final segments are the table of F in u, and evaluating F calls
-    no integrand."""
+def _settled_table(integrand, a: float, tol: float):
+    """Table, total and error estimate of the primitive on [a, inf) of an
+    integrand h that keeps its sign after the scan's last zero: dx is
+    (1+|x|)^2 du in the chart, so the Gauss rule integrates
+    H = h (1+|x|)^2 over [u(a), 1], bisected by bv's loop to tol, or to
+    the roundoff of the total if that is coarser.  The rows of the final
+    segments are the table of F in u; the returned evaluator reads it at
+    u(x), and the error estimate is the segments' summed estimate."""
     def H(u: float) -> float:
         x = decompactify(u)
         return integrand(x) * (1.0 + abs(x)) ** 2
@@ -298,19 +300,11 @@ def _settled_primitive(integrand, a: float, tol: float) -> HakeResult:
     # extrapolates there
     at_u, total = _primitive_table(segments)
 
-    def F(x: float) -> float:
-        return 0.0 if x <= a else at_u(compactify(x))
+    def at(x: float) -> float:
+        return at_u(compactify(x))
 
-    def F_many(xs: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(xs)
-        right = ~(xs <= a)
-        x = xs[right]
-        out[right] = at_u.many(x / (1.0 + np.abs(x)))   # compactify
-        return out
-
-    F.many = F_many
-    dist = distribution_from_evaluator(F, 0.0, total, tol)
-    return HakeResult(dist, total, 0, math.inf, err)
+    at.many = lambda xs: at_u.many(xs / (1.0 + np.abs(xs)))   # compactify
+    return at, total, err
 
 
 def hake_from_integrand(integrand, a: float = 0.0,
@@ -323,54 +317,48 @@ def hake_from_integrand(integrand, a: float = 0.0,
     the roundoff of the values.  One scan of h (_scan_sign_changes)
     picks the path: if it ends before the lobe loop stops, h keeps its
     sign after the scan's last zero and the loop runs once over the
-    compact chart (see _settled_primitive).  The Gauss nodes never
+    compact chart (see _settled_table).  The Gauss nodes never
     evaluate h at a, so an integrable singularity there is no error by
     itself; one the rule cannot resolve reaches the depth cap.
     Otherwise h is partitioned at sign changes, found by Illinois
     regula falsi, and each lobe runs the loop once.  The alternating
-    series of lobe areas is accelerated for the limit, lobes are
-    accumulated exactly up to the point where one lobe is smaller than
-    _DEFECT_TARGET, and past that cutoff the stored primitive follows a
-    smooth decaying tail model.  A non-finite value of h at a node, a
-    segment past bv's depth cap, or a table past _SEGMENT_CAP rows
-    raises BudgetExceeded naming the segment's x-interval.  On both
-    paths the primitive is a table of Chebyshev series with an array
-    form, and evaluating it calls no integrand.  The sup-norm gap
-    between the stored and the true primitive is estimated by
-    defect_bound on the result; the total over [a, inf) is not affected
-    by the tail model.
+    series of lobe areas is accelerated for the limit, and once it has
+    settled lobes are accumulated until one is smaller than
+    _DEFECT_TARGET.  The lobe boundary where the loop stopped is the
+    cutoff: the table holds every lobe before it, and past it the stored
+    primitive follows a smooth decaying tail model.  A non-finite value
+    of h at a node, a segment past bv's depth cap, or a table past
+    _SEGMENT_CAP rows raises BudgetExceeded naming the segment's
+    x-interval.  On both paths the primitive is one table of Chebyshev
+    series with an array form, and evaluating it calls no integrand.  The sup-norm gap between the stored and the
+    true primitive is estimated by defect_bound on the result; the total
+    over [a, inf) is not affected by the tail model.
     """
     lobes = _oscillatory_total(
         integrand, a, _scan_sign_changes(integrand, a, 0.5), tol)
     if lobes is None:
-        return _settled_primitive(integrand, a, tol)
-    total, zs, sums, table = lobes
-
-    # accumulate lobes exactly until one is below the defect target
-    cut_idx = len(sums) - 1
-    for i in range(1, len(sums)):
-        if abs(sums[i] - sums[i - 1]) < _DEFECT_TARGET:
-            cut_idx = i
-            break
-    cutoff = zs[cut_idx + 1]
-    at_x, S_cut = _primitive_table([s for s in table if s[0] < cutoff])
-    tail_cut = total - S_cut
-    defect = abs(tail_cut) + (abs(sums[cut_idx] - sums[cut_idx - 1])
-                              if cut_idx >= 1 else 0.0)
+        at, total, defect = _settled_table(integrand, a, tol)
+        # no finite x reaches the tail model
+        n_lobes, cutoff, tail_cut = 0, math.inf, 0.0
+    else:
+        total, cutoff, n_lobes, last_area, segments = lobes
+        at, table_end = _primitive_table(segments)
+        tail_cut = total - table_end
+        defect = abs(tail_cut) + abs(last_area)
 
     def F(x: float) -> float:
         if x <= a:
             return 0.0
         if x >= cutoff:
             return total - tail_cut * (cutoff / x) ** _MODEL_DECAY
-        return at_x(x)
+        return at(x)
 
     def F_many(xs: np.ndarray) -> np.ndarray:
         out = np.zeros_like(xs)
         right = ~(xs <= a)
         tail = right & (xs >= cutoff)
         mid = right & ~tail
-        out[mid] = at_x.many(xs[mid])
+        out[mid] = at.many(xs[mid])
         # numpy's power is not libm's pow, which the scalar ** calls
         decay = [r ** _MODEL_DECAY for r in (cutoff / xs[tail]).tolist()]
         out[tail] = total - tail_cut * np.array(decay, dtype=float)
@@ -378,4 +366,4 @@ def hake_from_integrand(integrand, a: float = 0.0,
 
     F.many = F_many
     dist = distribution_from_evaluator(F, 0.0, total, tol)
-    return HakeResult(dist, total, len(zs) - 1, cutoff, defect)
+    return HakeResult(dist, total, n_lobes, cutoff, defect)

@@ -20,7 +20,6 @@ from .cfun import (DEFAULT_TOL, ContinuousFunctionBar, build_continuous,
                    extremes, sup_norm, _audited, _tail_limit)
 from .errors import IntervalEmpty
 
-_EQUALITY_TOL = 1e-9
 _EQUALITY_GRID = 1025
 
 
@@ -111,9 +110,10 @@ def linear_combine(a: float, f: Distribution, g: Distribution) -> Distribution:
 
 
 def equal(f: Distribution, g: Distribution,
-          tol: float = _EQUALITY_TOL) -> bool:
+          tol: float = DEFAULT_TOL) -> bool:
     """Audit-grid equality of primitives; a semi-decision, as any finite
-    comparison of function values must be."""
+    comparison of function values must be.  Its default tol is that of
+    lattice.compare, so the two agree on what counts as equal."""
     F, G = f.primitive, g.primitive
     return all(abs(F.at_u(u) - G.at_u(u)) <= tol
                for u in uniform_u_grid(_EQUALITY_GRID))

@@ -100,6 +100,26 @@ class TestHake:
             assert F(x) == pytest.approx(float(special.sici(x)[0]),
                                          abs=1e-8)
 
+    def test_cutoff_where_the_loop_stopped(self):
+        # the lobes before 2 pi are scaled by 1e-3, below _DEFECT_TARGET
+        # long before the limit settles: the table keeps them and every
+        # lobe after them, up to the one that stopped the loop
+        two_pi = 2.0 * math.pi
+        res = hake_from_integrand(
+            lambda x: (1e-3 if x < two_pi else 1.0) * math.sin(x) / (1.0 + x))
+        assert res.cutoff > 200.0
+        assert res.defect_bound < 0.02
+
+        def P(x):   # a primitive of sin(x)/(1+x), by Si and Ci at 1+x
+            s = 1 + mpmath.mpf(x)
+            return mpmath.cos(1) * mpmath.si(s) - mpmath.sin(1) * mpmath.ci(s)
+
+        F = res.distribution.primitive
+        with mpmath.workdps(30):
+            head = 1e-3 * (P(two_pi) - P(0.0)) - P(two_pi)
+            for x in (20.0, 50.0, 150.0):
+                assert abs(F(x) - float(head + P(x))) <= 1e-12
+
     @pytest.mark.parametrize("h,primitive", [
         (lambda x: math.sin(x * x),
          lambda x: math.sqrt(math.pi / 2.0) * float(

@@ -9,6 +9,7 @@ from cpint.errors import IntervalEmpty, NoLimitAtInfinity
 from cpint.fixtures import (arctan_distribution, gaussian_distribution,
                             quadratic_osc_distribution, random_distribution,
                             signed_bump_distribution)
+from cpint.lattice import Order, compare
 from cpint.space import (NormKind, distribution_from_evaluator, equal,
                          hake_extend, integral, linear_combine, norm,
                          translate, zero)
@@ -101,6 +102,15 @@ class TestConstruction:
     def test_equal_detects_difference(self):
         assert equal(gaussian_distribution(), gaussian_distribution())
         assert not equal(gaussian_distribution(), arctan_distribution())
+
+    def test_equal_agrees_with_compare(self):
+        # a bump of 5e-10, past the default tol of both semi-decisions
+        f = arctan_distribution()
+        g = distribution_from_evaluator(
+            lambda x: math.atan(x) + 5e-10 * math.exp(-x * x),
+            -math.pi / 2, math.pi / 2)
+        assert compare(f, g).order is Order.LESS_OR_EQUAL
+        assert not equal(f, g)
 
     def test_linearity_of_integral(self):
         f = gaussian_distribution()
