@@ -262,8 +262,10 @@ def from_callable(fn: Callable[[float], float], lo: float, hi: float,
     """Split a sampled continuous function on [lo, hi] into monotone
     pieces at numerically located extrema; constant outside [lo, hi].
 
-    Used for kernels whose extrema have no closed form.  The sample count
-    must resolve every oscillation of fn on [lo, hi].
+    A fallback for user kernels whose extrema have no closed form; the
+    library's own kernels are cut at their extrema directly.  The sample
+    count must resolve every oscillation of fn on [lo, hi]: the samples
+    are uniform in the compact chart, so they thin out as |x| grows.
     """
     ua, ub = compactify(lo), compactify(hi)
     xs = [decompactify(ua + (ub - ua) * i / (samples - 1))

@@ -26,7 +26,7 @@ from numpy.polynomial import chebyshev, legendre
 
 from .bv import _refine
 from .cfun import DEFAULT_TOL, _safe
-from .chart import compactify, decompactify
+from .chart import compactify, decompactify, illinois_zero
 from .errors import NoLimitAtInfinity
 from .space import Distribution, distribution_from_evaluator
 
@@ -114,49 +114,6 @@ def _primitive_table(segments: list[tuple]):
     return at, float(ends[-1])
 
 
-def _illinois_zero(fn, a: float, fa: float, b: float, fb: float) -> float:
-    """Zero of fn in [a, b], where fa and fb differ in sign, to a bracket
-    below 1e-15 relative, by regula falsi with the Illinois modification
-    (Dowell & Jarratt 1971): the value kept at an end that stays twice in
-    a row is halved, so both ends close in.  A step from the newest end
-    shorter than half the goal is lengthened to it, so that once the zero
-    is pinned the next point lands across it.  Where two steps in a row
-    leave more than half the bracket, as at a zero of high multiplicity,
-    the next one bisects."""
-    side = 0
-    width = b - a       # the bracket when it last halved
-    stalls = 0
-    while True:
-        m = 0.5 * (a + b)
-        goal = 1e-15 * (1.0 + abs(m))
-        if b - a < goal:
-            return m
-        c = b - fb * (b - a) / (fb - fa)
-        if side == -1:
-            c = min(c, b - 0.5 * goal)
-        elif side == 1:
-            c = max(c, a + 0.5 * goal)
-        if stalls == 2 or not a < c < b:
-            c = m
-        fc = fn(c)
-        if fc == 0.0:
-            return c
-        if (fc < 0.0) == (fb < 0.0):
-            b, fb = c, fc
-            if side == -1:
-                fa *= 0.5
-            side = -1
-        else:
-            a, fa = c, fc
-            if side == 1:
-                fb *= 0.5
-            side = 1
-        if b - a <= 0.5 * width:
-            width, stalls = b - a, 0
-        else:
-            stalls += 1
-
-
 def _scan_sign_changes(fn, start: float, first_step: float):
     """Generator of consecutive sign-change points of fn after start.  It
     ends after _SCAN_STEPS steps without a sign change; after the second
@@ -177,7 +134,7 @@ def _scan_sign_changes(fn, start: float, first_step: float):
             first_0 = x if first_0 is None else first_0
             continue
         if v * v2 < 0.0:
-            z = _illinois_zero(fn, t, v, x, v2) if first_0 is None else first_0
+            z = illinois_zero(fn, t, v, x, v2) if first_0 is None else first_0
             if last_z is not None:
                 step = 0.35 * (z - last_z)
             last_z = z

@@ -12,9 +12,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .bv import BVFunction, Piece, from_callable, monotone, rs_integral
+from .bv import BVFunction, Piece, constant, monotone, rs_integral
 from .cfun import DEFAULT_TOL, _tail_limit
-from .chart import INF, NEG_INF
+from .chart import INF, NEG_INF, illinois_zero
 from .errors import DomainError, NoLimitAtInfinity
 from .products import integral_product
 from .space import Distribution
@@ -85,11 +85,51 @@ def boundary_norm_gap(f: Distribution, y: float,
     return gap
 
 
+def _laplace_cuts(x: float, y: float, phi: float, n: int,
+                  T: float) -> list[float]:
+    """Extrema on (0, T), ascending, of k(t) = t^n e^(-xt) cos(yt + phi)
+    for x > 0 and y != 0.
+
+    k'(t) = t^(n-1) e^(-xt) |n - zt| cos(psi(t)), with the phase
+    psi(t) = yt + phi - atan2(-yt, n - xt), so the extrema are where psi
+    passes pi/2 + k pi.  psi is strictly monotone: the atan2 term is the
+    angle of the ray (n, 0) + t(-x, -y), which turns one way only, from
+    0 at t = 0+ (n >= 1) towards beta = atan2(-y, -x).  For n = 0 it is
+    beta throughout, and each extremum is read off directly.  For n >= 1
+    the one at c = pi/2 + k pi lies between (c - phi)/y and
+    (c - phi + beta)/y, where it is solved by illinois_zero.
+    """
+    beta = math.atan2(-y, -x)
+
+    def psi(t: float) -> float:
+        return y * t + phi - math.atan2(-y * t, n - x * t)
+
+    psi_0 = phi - beta if n == 0 else phi     # psi(0+)
+    lo, hi = sorted((psi_0, psi(T)))
+    cuts = []
+    for k in range(math.floor(lo / math.pi - 0.5) + 1,
+                   math.ceil(hi / math.pi - 0.5)):
+        c = math.pi / 2 + k * math.pi
+        if n == 0:
+            t = (c - phi + beta) / y
+        else:
+            a, b = sorted(((c - phi) / y, (c - phi + beta) / y))
+            fa, fb = psi(a) - c, psi(b) - c
+            if fa * fb < 0.0:
+                t = illinois_zero(lambda s: psi(s) - c, a, fa, b, fb)
+            else:   # rounding put the zero on an end
+                t = a if abs(fa) <= abs(fb) else b
+        if 0.0 < t < T:
+            cuts.append(t)
+    cuts.sort()
+    return cuts
+
+
 def _laplace_kernel_bv(z: complex, part: str, n: int,
                        tol: float) -> BVFunction:
     """t^n e^(-zt) (real or imaginary part) on [0, inf) as a BVFunction,
-    constant on (-inf, 0] and truncated where the envelope is below
-    tolerance."""
+    constant on (-inf, 0] and truncated at T, where the envelope is below
+    tolerance; between 0 and T it is cut at its extrema (_laplace_cuts)."""
     x, y = z.real, z.imag
 
     def kernel(t: float) -> float:
@@ -98,19 +138,27 @@ def _laplace_kernel_bv(z: complex, part: str, n: int,
 
     if x <= 0.0:
         raise DomainError("kernel decomposition needs re(z) > 0")
-    T = (math.log(1.0 / tol) + _TAIL_SAFETY + n * max(
-        0.0, math.log1p(n / x))) / x
+    if y == 0.0 and part == "im":
+        return constant(0.0)
     if y == 0.0 and n == 0:
-        if part == "im":
-            return BVFunction([Piece(NEG_INF, INF, lambda t: 0.0, 0.0, 0.0)])
         # plain exponential: single monotone piece, no truncation
         return BVFunction([Piece(NEG_INF, 0.0, lambda t: 1.0, 1.0, 1.0),
                            Piece(0.0, INF, lambda t: math.exp(-x * t),
                                  1.0, 0.0)])
-    oscillations = 1 + int(T * abs(y) / math.pi)
-    samples = min(65537, max(4097, 64 * oscillations))
-    return from_callable(kernel, 0.0, T, kernel(0.0), kernel(T),
-                         samples=samples)
+    T = (math.log(1.0 / tol) + _TAIL_SAFETY + n * max(
+        0.0, math.log1p(n / x))) / x
+    if y == 0.0:
+        cuts = [n / x] if n / x < T else []
+    else:
+        cuts = _laplace_cuts(x, y, 0.0 if part == "re" else math.pi / 2,
+                             n, T)
+    ends = [0.0] + cuts + [T]
+    vals = [kernel(t) for t in ends]
+    return BVFunction(
+        [Piece(NEG_INF, 0.0, lambda t: vals[0], vals[0], vals[0])]
+        + [Piece(a, b, kernel, va, vb)
+           for a, b, va, vb in zip(ends, ends[1:], vals, vals[1:])]
+        + [Piece(T, INF, lambda t: vals[-1], vals[-1], vals[-1])])
 
 
 def _check_laplace_point(z: complex) -> None:

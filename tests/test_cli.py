@@ -127,6 +127,16 @@ class TestOtherCommands:
         assert float(row[3]) == pytest.approx(0.5, abs=1e-9)
         assert abs(float(row[4])) < 1e-9
 
+    def test_laplace_near_imaginary_axis(self):
+        code, out, _ = invoke("laplace", "--primitive",
+                              "piecewise(0, 0, 1-exp(-x))", "--re", "0.1",
+                              "--im", "3")
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert header == "re_z,im_z,order,re_value,im_value"
+        value = complex(*map(float, row.split(",")[3:]))
+        assert abs(value - 1.0 / (1.1 + 3.0j)) < 1e-12
+
 
 class TestExitCodes:
     def test_unknown_fixture_is_domain_error(self):

@@ -1,14 +1,17 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from cpint.cfun import ContinuousFunctionBar
 from cpint.errors import DomainError, NoLimitAtInfinity
 from cpint.fixtures import si_distribution
 from cpint.space import Distribution
-from cpint.transforms import (HalfPlanePoint, boundary_norm_gap, growth_probe,
-                              laplace, laplace_derivative, laplacian_probe,
-                              poisson, poisson_kernel_bv, weighted_integral)
+from cpint.transforms import (HalfPlanePoint, _laplace_kernel_bv,
+                              boundary_norm_gap, growth_probe, laplace,
+                              laplace_derivative, laplacian_probe, poisson,
+                              poisson_kernel_bv, weighted_integral)
 
 
 def indicator_distribution():
@@ -84,6 +87,26 @@ class TestLaplace:
             exact = (-1.0) ** n * math.factorial(n) / 2.0 ** (n + 1)
             assert abs(got - exact) < 1e-9
 
+    def test_near_imaginary_axis(self):
+        # a kernel cut by sampling put neighbouring cuts out of order here
+        fe = exp_decay_distribution()
+        for z in (0.1 + 3.0j, 0.02 + 7.0j):
+            assert abs(laplace(fe, z) - 1.0 / (z + 1.0)) < 1e-12
+
+    def test_derivative_at_complex_z(self):
+        fe = exp_decay_distribution()
+        for z in (1.0 + 1.0j, 0.5 + 2.0j):
+            for n in (1, 2):
+                exact = (-1.0) ** n * math.factorial(n) / (z + 1.0) ** (n + 1)
+                assert abs(laplace_derivative(fe, z, n) - exact) < 1e-12
+
+    def test_sine_integral_derivative(self):
+        # d/dz atan(1/z) = -1/(1 + z^2)
+        si = si_distribution()
+        for z in (1.0 + 0.5j, 1.5 - 0.5j):
+            got = laplace_derivative(si, z, 1)
+            assert abs(got + 1.0 / (1.0 + z * z)) < 1e-10
+
     def test_left_half_plane_rejected(self):
         with pytest.raises(DomainError):
             laplace(exp_decay_distribution(), -1.0 + 0j)
@@ -92,6 +115,44 @@ class TestLaplace:
         fe = exp_decay_distribution()
         vals = growth_probe(fe, 0.5, [1.0, 4.0, 16.0], angles=9)
         assert vals[0] > vals[1] > vals[2]
+
+
+class TestLaplaceKernel:
+    """The kernel's cuts are exactly the extrema of t^n e^(-zt) on (0, T)."""
+
+    @staticmethod
+    def slope(z, part, n, t):
+        w = (n * t ** (n - 1) - z * t ** n) * np.exp(-z * t)
+        return w.real if part == "re" else w.imag
+
+    def points(self):
+        rng = random.Random(16)
+        zs = [complex(rng.uniform(0.5, 2.0), sign * rng.uniform(0.3, 4.0))
+              for sign in (1.0, -1.0) for _ in range(3)]
+        zs.append(complex(rng.uniform(0.5, 2.0), 0.0))
+        return [(z, part, n) for z in zs for part in ("re", "im")
+                for n in range(4)]
+
+    def test_pieces_monotone(self):
+        for z, part, n in self.points():
+            _laplace_kernel_bv(z, part, n, 1e-10).audit_monotone_pieces()
+
+    def test_slope_changes_sign_at_each_cut(self):
+        for z, part, n in self.points():
+            g = _laplace_kernel_bv(z, part, n, 1e-10)
+            for c in g.breakpoints[1:-1]:
+                h = 1e-6 * max(1.0, c)
+                assert (self.slope(z, part, n, c - h)
+                        * self.slope(z, part, n, c + h)) < 0.0, (z, part, n, c)
+
+    def test_cuts_are_all_extrema(self):
+        for z, part, n in self.points():
+            g = _laplace_kernel_bv(z, part, n, 1e-10)
+            T = g.breakpoints[-1] if len(g.breakpoints) > 1 else 40.0 / z.real
+            ts = np.linspace(0.0, T, 64 * int(T * (abs(z.imag) + 1.0)) + 1)
+            s = np.sign(self.slope(z, part, n, ts[1:-1]))
+            extrema = int(np.count_nonzero(s[1:] * s[:-1] < 0.0))
+            assert len(g.breakpoints[1:-1]) == extrema, (z, part, n)
 
 
 class TestWeightedIntegral:
