@@ -15,9 +15,12 @@ of C0 over [-inf, inf] is not certifiable by any finite procedure, so
 Array evaluation: an evaluator may carry an array form as its attribute
 ``many``, a function from a float array of finite x to the float array
 of values, equal bit for bit to the scalar calls.  ``eval_many`` and
-``at_u_many`` use it, and fall back to one guarded scalar call per
-point on Python floats for an evaluator without one.  The pointwise
-algebra composes the array forms of its operands.
+``at_u_many`` use it, and fall back to one loop of guarded scalar calls
+on Python floats for an evaluator without one.  The pointwise algebra
+composes the array forms of its operands.  :func:`extremes` reads one
+such array of its grid and finds the grid's local maxima by array
+comparisons; only the golden refinement of the top cells calls the
+evaluator one point at a time.
 
 The bumps are C^inf except at their center, where phi' jumps (see
 :class:`TestFunction`); ``pair_with_test`` splits them there.
@@ -46,23 +49,35 @@ _STALL_LIMIT = 8            # consecutive non-shrinking refinements => jump
 _STALL_RATIO = 0.95         # "failed to shrink" threshold per refinement
 _DEPTH_CAP = 40             # bisections of one audit cell
 _ROUNDOFF = 16 * 2.0 ** -52   # relative roundoff of values, as a floor on tol
+_UNDEFINED = (OverflowError, ValueError, ZeroDivisionError)   # read as NaN
+
+_EXTREMES_US = np.array(uniform_u_grid(_EXTREMES_GRID))
+_EXTREMES_US.flags.writeable = False
 
 
 def _safe(evaluator: Callable[[float], float], x: float) -> float:
     try:
         v = evaluator(x)
-    except (OverflowError, ValueError, ZeroDivisionError):
+    except _UNDEFINED:
         return math.nan
     return v
 
 
 def _many(evaluator: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
     """The evaluator at each x of a float array: its array form where it
-    carries one, else _safe at each x as a Python float."""
+    carries one, else one call at each x as a Python float, in one loop,
+    with NaN where a call raises one of _UNDEFINED."""
     many = getattr(evaluator, "many", None)
     if many is not None:
         return many(xs)
-    return np.array([_safe(evaluator, x) for x in xs.tolist()], dtype=float)
+    vals = []
+    append = vals.append
+    for x in xs.tolist():
+        try:
+            append(evaluator(x))
+        except _UNDEFINED:
+            append(math.nan)
+    return np.array(vals, dtype=float)
 
 
 def _with_many(scalar: Callable[[float], float],
@@ -89,10 +104,21 @@ class ContinuousFunctionBar:
             return self.limit_pos
         if x == NEG_INF:
             return self.limit_neg
-        return _safe(self.evaluator, x)
+        try:
+            return self.evaluator(x)
+        except _UNDEFINED:
+            return math.nan
 
     def at_u(self, u: float) -> float:
-        return self(decompactify(u))
+        """self(decompactify(u)), in one frame: the refinements call it."""
+        if u >= 1.0:
+            return self.limit_pos
+        if u <= -1.0:
+            return self.limit_neg
+        try:
+            return self.evaluator(u / (1.0 - abs(u)))
+        except _UNDEFINED:
+            return math.nan
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """self(x) at each x of a float array, bit for bit."""
@@ -303,13 +329,11 @@ def extremes(F: ContinuousFunctionBar) -> tuple[float, float]:
     Grid scan in the compact chart, then golden refinement of the best
     cells around the surviving local extrema.
     """
-    grid = uniform_u_grid(_EXTREMES_GRID)
-    vals = F.at_u_many(np.array(grid)).tolist()
-    for v in vals:
-        if math.isnan(v):
-            raise BudgetExceeded("evaluator undefined inside extremes scan")
-    sup = scan_max(F.at_u, grid, vals, _EXTREMES_REFINE)
-    inf = -scan_max(lambda u: -F.at_u(u), grid, [-v for v in vals],
+    vals = F.at_u_many(_EXTREMES_US)
+    if np.isnan(vals).any():
+        raise BudgetExceeded("evaluator undefined inside extremes scan")
+    sup = scan_max(F.at_u, _EXTREMES_US, vals, _EXTREMES_REFINE)
+    inf = -scan_max(lambda u: -F.at_u(u), _EXTREMES_US, -vals,
                     _EXTREMES_REFINE)
     return sup, inf
 

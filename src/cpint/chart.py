@@ -99,24 +99,34 @@ def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
                key=lambda p: p[1])
 
 
-def scan_max(fn, grid: list[float], vals: list[float], top_k: int) -> float:
-    """Largest value of fn on [grid[0], grid[-1]], given vals = fn(grid).
+def scan_max(fn, grid, vals, top_k: int) -> float:
+    """Largest value of fn on [grid[0], grid[-1]], given the float arrays
+    grid and vals = fn(grid).
 
     The best scanned value is raised by golden refinement over the two
-    cells around each of the top_k grid-local maxima.  Brackets stop
-    1e-12 of the half-span short of the scan's ends, whose values the
-    scan already holds (in the chart, the ends are the saturated tails).
+    cells around each of the top_k grid-local maxima, largest first and
+    left to right among equals.  Brackets stop 1e-12 of the half-span
+    short of the scan's ends, whose values the scan already holds (in the
+    chart, the ends are the saturated tails).  The best scanned value is
+    the first of the largest, and NaN when vals[0] is NaN; any later NaN
+    is passed over, as Python's max does.
     """
+    grid = np.asarray(grid, dtype=float)
+    vals = np.asarray(vals, dtype=float)
     n = len(grid)
-    edge = 1e-12 * 0.5 * (grid[-1] - grid[0])
-    best = max(vals)
-    cand = [i for i in range(n)
-            if (i == 0 or vals[i] >= vals[i - 1])
-            and (i == n - 1 or vals[i] >= vals[i + 1])]
-    cand.sort(key=lambda i: -vals[i])
-    for i in cand[:top_k]:
-        lo = max(grid[max(i - 1, 0)], grid[0] + edge)
-        hi = min(grid[min(i + 1, n - 1)], grid[-1] - edge)
+    g0, g1 = float(grid[0]), float(grid[-1])
+    edge = 1e-12 * 0.5 * (g1 - g0)
+    best = float(vals[0])
+    if best == best:
+        best = float(vals[np.nanargmax(vals)])
+    peak = np.ones(n, dtype=bool)
+    peak[1:] &= vals[1:] >= vals[:-1]
+    peak[:-1] &= vals[:-1] >= vals[1:]
+    cand = np.flatnonzero(peak)
+    cand = cand[np.argsort(-vals[cand], kind="stable")]
+    for i in cand[:top_k].tolist():
+        lo = max(float(grid[max(i - 1, 0)]), g0 + edge)
+        hi = min(float(grid[min(i + 1, n - 1)]), g1 - edge)
         if lo < hi:
             best = max(best, golden_max(fn, lo, hi)[1])
     return best

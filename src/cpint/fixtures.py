@@ -117,15 +117,20 @@ FIXTURES = {
 def random_distribution(rng: np.random.Generator) -> Distribution:
     """Random smooth distribution: Gaussian bumps plus an arctan ramp."""
     k = int(rng.integers(1, 4))
-    centers = rng.uniform(-5.0, 5.0, size=k)
-    widths = rng.uniform(0.5, 3.0, size=k)
-    amps = rng.uniform(-2.0, 2.0, size=k)
+    # Python floats, so that F does its arithmetic on them and not on
+    # numpy scalars; the values are the same bit for bit
+    centers = rng.uniform(-5.0, 5.0, size=k).tolist()
+    widths = rng.uniform(0.5, 3.0, size=k).tolist()
+    amps = rng.uniform(-2.0, 2.0, size=k).tolist()
     ramp = float(rng.uniform(-1.0, 1.0))
     ramp_c = float(rng.uniform(-3.0, 3.0))
 
     def F(x: float) -> float:
-        v = sum(a * math.exp(-((x - c) / w) ** 2)
-                for a, c, w in zip(amps, centers, widths))
+        try:
+            v = sum(a * math.exp(-((x - c) / w) ** 2)
+                    for a, c, w in zip(amps, centers, widths))
+        except OverflowError:   # |x - c| / w > 1e154: every bump is 0
+            v = 0.0
         v += ramp * (math.atan(x - ramp_c) + math.pi / 2) / math.pi
         return v
 

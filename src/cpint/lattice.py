@@ -17,11 +17,13 @@ from typing import Optional
 import numpy as np
 
 from .cfun import DEFAULT_TOL, ContinuousFunctionBar
-from .chart import decompactify, golden_max, uniform_u_grid
+from .chart import decompactify_many, golden_max, uniform_u_grid
 from .errors import BudgetExceeded
-from .space import Distribution
+from .space import Distribution, zero
 
 _COMPARE_GRID = 4097
+_COMPARE_XS = tuple(
+    decompactify_many(np.array(uniform_u_grid(_COMPARE_GRID))).tolist())
 _ABS_START_LEVEL = 4
 _ABS_MAX_LEVEL = 18
 _ABS_DIVERGENT_RUN = 8
@@ -50,15 +52,17 @@ class OrderResult:
 
 def compare(f: Distribution, g: Distribution,
             tol: float = DEFAULT_TOL) -> OrderResult:
-    """Grid-audited pointwise comparison of the primitives."""
+    """Grid-audited pointwise comparison of the primitives: F, then G, at
+    each x of the chart grid from -inf up, to the first x that gives the
+    second witness; each witness is the first x that shows its side."""
     F, G = f.primitive, g.primitive
     below = above = None
-    for u in uniform_u_grid(_COMPARE_GRID):
-        d = F.at_u(u) - G.at_u(u)
+    for x in _COMPARE_XS:
+        d = F(x) - G(x)
         if d < -tol and below is None:
-            below = decompactify(u)
+            below = x
         elif d > tol and above is None:
-            above = decompactify(u)
+            above = x
         if below is not None and above is not None:
             return OrderResult(Order.INCOMPARABLE, below, above)
     if below is None and above is None:
@@ -84,10 +88,9 @@ def parts(f: Distribution) -> tuple[Distribution, Distribution, Distribution]:
     The negative part carries primitive -(F min 0), so both identities
     hold with nonnegative parts.
     """
-    F = f.primitive
-    zero = ContinuousFunctionBar(lambda x: 0.0, 0.0, 0.0)
-    f_plus = Distribution(F.pointwise_max(zero))
-    f_minus = Distribution(F.pointwise_min(zero).scaled(-1.0))
+    F, Z = f.primitive, zero().primitive
+    f_plus = Distribution(F.pointwise_max(Z))
+    f_minus = Distribution(F.pointwise_min(Z).scaled(-1.0))
     f_abs = Distribution(F.pointwise_abs())
     return f_plus, f_minus, f_abs
 

@@ -15,12 +15,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .chart import uniform_u_grid
+import numpy as np
+
+from .chart import decompactify_many, uniform_u_grid
 from .cfun import (DEFAULT_TOL, ContinuousFunctionBar, build_continuous,
-                   extremes, sup_norm, _audited, _tail_limit)
+                   extremes, sup_norm, _audited, _tail_limit, _with_many)
 from .errors import IntervalEmpty
 
 _EQUALITY_GRID = 1025
+_EQUALITY_XS = tuple(
+    decompactify_many(np.array(uniform_u_grid(_EQUALITY_GRID))).tolist())
 
 
 class NormKind(enum.Enum):
@@ -64,8 +68,12 @@ def distribution_from_evaluator(evaluator: Callable[[float], float],
         build_continuous(evaluator, limit_neg, limit_pos, tol))
 
 
+_ZERO = Distribution(ContinuousFunctionBar(
+    _with_many(lambda x: 0.0, np.zeros_like), 0.0, 0.0))
+
+
 def zero() -> Distribution:
-    return Distribution(ContinuousFunctionBar(lambda x: 0.0, 0.0, 0.0))
+    return _ZERO
 
 
 def integral(f: Distribution, a: float, b: float) -> float:
@@ -115,8 +123,10 @@ def equal(f: Distribution, g: Distribution,
     comparison of function values must be.  Its default tol is that of
     lattice.compare, so the two agree on what counts as equal."""
     F, G = f.primitive, g.primitive
-    return all(abs(F.at_u(u) - G.at_u(u)) <= tol
-               for u in uniform_u_grid(_EQUALITY_GRID))
+    for x in _EQUALITY_XS:
+        if not abs(F(x) - G(x)) <= tol:     # NaN is not within tol
+            return False
+    return True
 
 
 def hake_extend(F_finite: Callable[[float], float],

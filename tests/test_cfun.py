@@ -64,6 +64,21 @@ class TestExtremes:
         # max of sin(x) exp(-x^2): frozen from dense scan
         assert sup_norm(F) == pytest.approx(0.39665296108547105, abs=1e-10)
 
+    @pytest.mark.parametrize("fn,limit_pos,hi,lo,calls", [
+        (lambda x: math.sin(x) * math.exp(-x * x), 0.0,
+         0.3966529610854711, -0.3966529610854711, 11451),
+        (lambda x: math.atan(x) + math.pi / 2, math.pi,
+         3.141592653589793, 0.0, 8289),
+    ])
+    def test_values_and_calls_pinned(self, fn, limit_pos, hi, lo, calls):
+        # the grid's 8,191 finite points, then golden refinement of the
+        # top cells of each sign
+        ev, seen = _counted(fn)
+        got = extremes(ContinuousFunctionBar(ev, 0.0, limit_pos))
+        assert got == (hi, lo)
+        assert len(seen) == calls
+        assert all(type(x) is float for x in seen)
+
 
 class TestBump:
     def test_support_and_positivity(self):
@@ -145,6 +160,12 @@ class TestArrayForms:
         F = ContinuousFunctionBar(ev, -1.0, 1.0)
         assert (_bits(F.at_u_many(us))
                 == _bits([F.at_u(u) for u in us.tolist()])).all()
+
+    def test_at_u_is_call_at_decompactify(self):
+        F = ContinuousFunctionBar(_patchy, -0.25, 0.5)
+        us = np.concatenate([_chart_points(2), [math.nan]]).tolist()
+        assert (_bits([F.at_u(u) for u in us])
+                == _bits([F(decompactify(u)) for u in us])).all()
 
     def test_raising_evaluator_gives_nan(self):
         F = ContinuousFunctionBar(_patchy, -0.0, 0.0)

@@ -55,6 +55,33 @@ class TestRandomFamilies:
         for x in (-3.0, 0.0, 2.0):
             assert a.primitive(x) == b.primitive(x)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_distribution_as_numpy_scalars(self, seed):
+        # the same arithmetic on np.float64 parameters, as the mixture was
+        # once written; huge |x| overflows (x - c)^2 there, to 0 bumps
+        rng = np.random.default_rng(seed)
+        F = random_distribution(rng).primitive
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 4))
+        centers = rng.uniform(-5.0, 5.0, size=k)
+        widths = rng.uniform(0.5, 3.0, size=k)
+        amps = rng.uniform(-2.0, 2.0, size=k)
+        ramp = float(rng.uniform(-1.0, 1.0))
+        ramp_c = float(rng.uniform(-3.0, 3.0))
+
+        def ref(x):
+            v = sum(a * math.exp(-((x - c) / w) ** 2)
+                    for a, c, w in zip(amps, centers, widths))
+            return v + ramp * (math.atan(x - ramp_c) + math.pi / 2) / math.pi
+        xs = np.random.default_rng(50 + seed).uniform(-12.0, 12.0, 2000)
+        xs = xs.tolist() + [0.0, -0.0, 1e16, -1e16, 1e200, -1e300]
+        with np.errstate(over="ignore"):
+            want = [float(ref(x)) for x in xs]
+        got = [F(x) for x in xs]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).view(np.uint64).tolist() == \
+            np.array(want).view(np.uint64).tolist()
+
     def test_random_bv_has_finite_variation(self):
         rng = np.random.default_rng(11)
         for _ in range(30):

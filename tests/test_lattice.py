@@ -36,6 +36,30 @@ class TestCompare:
         assert F(res.witness_below) < 0.0
         assert F(res.witness_above) > 0.0
 
+    def test_calls_pinned(self):
+        # one pass over the grid's 4,095 finite points, stopping at the
+        # first point where both witnesses are known
+        seen = []
+
+        def counted(fn, lim):
+            def ev(x):
+                seen.append(x)
+                return fn(x)
+            return Distribution(ContinuousFunctionBar(ev, 0.0, lim))
+        bump = counted(lambda x: math.sin(x) * math.exp(-x * x), 0.0)
+        res = compare(bump, zero())
+        assert (res.order, res.witness_below, res.witness_above) == (
+            Order.INCOMPARABLE, -3.1373737373737374, -4.785310734463277)
+        assert len(seen) == 495
+        assert seen[-1] == res.witness_below
+        del seen[:]
+
+        def gauss():
+            return counted(lambda x: math.exp(-(x - 0.3) ** 2), 0.0)
+        assert compare(gauss(), gauss()).order is Order.EQUAL
+        assert len(seen) == 2 * 4095
+        assert seen[0::2] == seen[1::2]
+
 
 class TestLatticeOps:
     @settings(max_examples=25, deadline=None)
@@ -61,6 +85,23 @@ class TestParts:
         assert equal(linear_combine(1.0, f_plus, f_minus), f_abs)
         # lattice absolute value preserves the norm exactly
         assert norm(f_abs) == pytest.approx(norm(f), abs=1e-12)
+
+    def test_zero_primitive_has_array_form(self):
+        # parts compares F with the primitive of zero(), one array call
+        # for every grid of F +- 0
+        Z = zero().primitive
+        assert zero() is zero()
+        assert getattr(Z.evaluator, "many", None) is not None
+        xs = np.array([-1e16, -2.5, -0.0, 0.0, 3.0, 1e300])
+        assert np.array_equal(Z.eval_many(xs), np.zeros(6))
+        assert not np.signbit(Z.eval_many(xs)).any()
+        f = signed_bump_distribution()
+        f_plus, f_minus, _ = parts(f)
+        us = np.linspace(-1.0, 1.0, 257)
+        assert (f_plus.primitive.at_u_many(us).tolist()
+                == [f_plus.primitive.at_u(u) for u in us.tolist()])
+        assert (f_minus.primitive.at_u_many(us).tolist()
+                == [f_minus.primitive.at_u(u) for u in us.tolist()])
 
     def test_pointwise_domination(self):
         f = signed_bump_distribution()

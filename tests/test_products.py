@@ -178,6 +178,27 @@ class TestTaylor:
         with pytest.raises(DomainError):
             TaylorInput(2, 0.0, 1.0, math.sin, [0.0])
 
+    @pytest.mark.parametrize("a,bad,n,pointwise,uniform", [
+        # NaN at the first sample of the deviation scans: a = -0.0 is
+        # sampled as -0.0 + 0.0 = +0.0, where the derivative is NaN, while
+        # fn(a) itself is finite; the bounds are NaN, as max(list) is
+        (-0.0, 0.0, 0, math.nan, math.nan),
+        (-0.0, 0.0, 2, math.nan, math.nan),
+        # NaN at a later sample of each scan is passed over
+        (0.0, 3 / 2048, 0, 0.45969769413186023, 1.4161468365471424),
+        (0.0, 10 / 2048, 2, 0.22984884706593012, 2.8322936730942847),
+    ])
+    def test_nan_sample_of_top_derivative(self, a, bad, n, pointwise, uniform):
+        def top(t):
+            if t == bad and math.copysign(1.0, t) > 0.0:
+                return math.nan
+            return math.cos(t)
+        inp = TaylorInput(n, a, 2.0, top, [1.0, 0.0, -1.0][:n + 1])
+        res = taylor_expand(inp, 1.0)
+        for got, want in ((res.bound_pointwise, pointwise),
+                          (res.bound_uniform, uniform)):
+            assert got == want or math.isnan(got) and math.isnan(want)
+
     def test_point_outside_window_rejected(self):
         inp = TaylorInput(1, 0.0, 1.0, math.cos, [0.0, 1.0])
         with pytest.raises(DomainError):

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cpint.cfun import ContinuousFunctionBar
 from cpint.chart import INF, NEG_INF
 from cpint.errors import IntervalEmpty, NoLimitAtInfinity
 from cpint.fixtures import (arctan_distribution, gaussian_distribution,
                             quadratic_osc_distribution, random_distribution,
                             signed_bump_distribution)
 from cpint.lattice import Order, compare
-from cpint.space import (NormKind, distribution_from_evaluator, equal,
-                         hake_extend, integral, linear_combine, norm,
+from cpint.space import (Distribution, NormKind, distribution_from_evaluator,
+                         equal, hake_extend, integral, linear_combine, norm,
                          translate, zero)
 
 COS1 = 0.5403023058681398
@@ -102,6 +103,26 @@ class TestConstruction:
     def test_equal_detects_difference(self):
         assert equal(gaussian_distribution(), gaussian_distribution())
         assert not equal(gaussian_distribution(), arctan_distribution())
+
+    def test_equal_calls_pinned(self):
+        # F then G at each of the grid's 1,023 finite points, up to the
+        # first point that differs by more than tol
+        seen = []
+
+        def counted(fn):
+            def ev(x):
+                seen.append(x)
+                return fn(x)
+            return Distribution(ContinuousFunctionBar(ev, 0.0, 0.0))
+        def gauss():
+            return counted(lambda x: math.exp(-(x - 0.3) ** 2))
+        bump = counted(lambda x: math.sin(x) * math.exp(-x * x))
+        assert not equal(bump, gauss())
+        assert len(seen) == 2 * 89
+        del seen[:]
+        assert equal(gauss(), gauss())
+        assert len(seen) == 2 * 1023
+        assert seen[0::2] == seen[1::2]
 
     def test_equal_agrees_with_compare(self):
         # a bump of 5e-10, past the default tol of both semi-decisions
