@@ -6,13 +6,17 @@ two infinities.  Variation is then exact (piece rises plus jump
 magnitudes) and the Stieltjes integral can align its partitions with the
 jump set.  Jumps "at infinity" (point value differing from the limit)
 are handled by closed-form endpoint terms, never by refinement.
+
+Every piece has positive length, so the breakpoints, the pieces' inner
+ends, are strictly increasing and finite.  That sorted tuple is the one
+table every query reads: a value or a one-sided limit is one bisection.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import count
@@ -63,7 +67,9 @@ class BVFunction:
                  value_pos_inf: Optional[float] = None):
         if not pieces:
             raise MalformedPieces("at least one piece required")
-        ps = sorted(pieces, key=lambda p: (compactify(p.lo), compactify(p.hi)))
+        if not all(p.lo < p.hi for p in pieces):
+            raise MalformedPieces("every piece needs lo < hi")
+        ps = sorted(pieces, key=lambda p: p.lo)
         if ps[0].lo != NEG_INF or ps[-1].hi != INF:
             raise MalformedPieces("pieces must cover [-inf, inf]")
         for left, right in zip(ps, ps[1:]):
@@ -72,8 +78,9 @@ class BVFunction:
         self.pieces = tuple(ps)
         self.breakpoints = tuple(p.hi for p in ps[:-1])
         self.point_values = dict(point_values or {})
+        known = set(self.breakpoints)
         for p in self.point_values:
-            if p not in self.breakpoints:
+            if p not in known:
                 raise MalformedPieces(f"point value at {p} is not a breakpoint")
         # default point value at a breakpoint: the right limit
         self.value_neg_inf = (self.pieces[0].lo_val
@@ -83,10 +90,6 @@ class BVFunction:
 
     # -- pointwise access ---------------------------------------------------
 
-    def _piece_at(self, x: float) -> Piece:
-        i = bisect_right(self.breakpoints, x)
-        return self.pieces[i]
-
     def __call__(self, x: float) -> float:
         if x == NEG_INF:
             return self.value_neg_inf
@@ -94,31 +97,20 @@ class BVFunction:
             return self.value_pos_inf
         if x in self.point_values:
             return self.point_values[x]
-        if x in self.breakpoints:
-            # no explicit value stored: default to right continuity
-            j = self.breakpoints.index(x)
-            return self.pieces[j + 1].lo_val
-        return self._piece_at(x).value(x)
+        # no explicit value stored: default to right continuity
+        return self.right_limit(x)
 
     def left_limit(self, x: float) -> float:
         if x == NEG_INF:
             raise ValueError("no left limit at -inf")
-        if x == INF:
-            return self.pieces[-1].hi_val
-        if x in self.breakpoints:
-            j = self.breakpoints.index(x)
-            return self.pieces[j].hi_val
-        return self._piece_at(x).value(x)
+        p = self.pieces[bisect_left(self.breakpoints, x)]
+        return p.hi_val if x == p.hi else p.fn(x)
 
     def right_limit(self, x: float) -> float:
         if x == INF:
             raise ValueError("no right limit at +inf")
-        if x == NEG_INF:
-            return self.pieces[0].lo_val
-        if x in self.breakpoints:
-            j = self.breakpoints.index(x)
-            return self.pieces[j + 1].lo_val
-        return self._piece_at(x).value(x)
+        p = self.pieces[bisect_right(self.breakpoints, x)]
+        return p.lo_val if x == p.lo else p.fn(x)
 
     # -- audits and exact quantities ---------------------------------------
 
@@ -187,32 +179,29 @@ def constant(c: float) -> BVFunction:
 
 
 def heaviside() -> BVFunction:
-    return BVFunction([_const_piece(NEG_INF, 0.0, 0.0),
-                       _const_piece(0.0, INF, 1.0)],
-                      point_values={0.0: 1.0})
+    return indicator(0.0, INF)
 
 
 def indicator(a: float, b: float, include_left: bool = True,
               include_right: bool = True) -> BVFunction:
-    """Characteristic function of an interval with endpoints a <= b."""
+    """Characteristic function of an interval with endpoints a <= b.
+
+    Constant on (-inf, a), (a, b) and (b, inf), less those of zero
+    length; an infinite end is always in the interval, and [a, a] holds
+    a only when both ends are included."""
     if a > b:
         raise IntervalEmpty("indicator needs a <= b")
-    pieces = []
-    pv = {}
-    if a == NEG_INF and b == INF:
-        return constant(1.0)
-    if a == NEG_INF:
-        pieces = [_const_piece(NEG_INF, b, 1.0), _const_piece(b, INF, 0.0)]
-        pv[b] = 1.0 if include_right else 0.0
-    elif b == INF:
-        pieces = [_const_piece(NEG_INF, a, 0.0), _const_piece(a, INF, 1.0)]
-        pv[a] = 1.0 if include_left else 0.0
-    else:
-        pieces = [_const_piece(NEG_INF, a, 0.0), _const_piece(a, b, 1.0),
-                  _const_piece(b, INF, 0.0)]
-        pv[a] = 1.0 if include_left else 0.0
-        pv[b] = 1.0 if include_right else 0.0
-    return BVFunction(pieces, point_values=pv)
+    ends = (NEG_INF, a, b, INF)
+    pieces = [_const_piece(lo, hi, c)
+              for lo, hi, c in zip(ends, ends[1:], (0.0, 1.0, 0.0)) if lo < hi]
+    inside = {a: include_left, b: include_right}
+    if a == b:
+        inside[a] = include_left and include_right
+    return BVFunction(pieces,
+                      {p: float(v) for p, v in inside.items()
+                       if math.isfinite(p)},
+                      value_neg_inf=float(a == NEG_INF),
+                      value_pos_inf=float(b == INF))
 
 
 def blocks(spans: Iterable[tuple[float, float, float]]) -> BVFunction:
@@ -256,6 +245,19 @@ def from_knots(knots: Sequence[float], values: Sequence[float]) -> BVFunction:
     return BVFunction(pieces)
 
 
+def cut_at(fn: Callable[[float], float],
+           knots: Sequence[float]) -> BVFunction:
+    """fn cut into pieces at strictly increasing finite knots, constant
+    beyond the first and last: the shape of the library's own kernels,
+    whose extrema are known."""
+    vals = [fn(k) for k in knots]
+    return BVFunction(
+        [_const_piece(NEG_INF, knots[0], vals[0])]
+        + [Piece(a, b, fn, va, vb)
+           for a, b, va, vb in zip(knots, knots[1:], vals, vals[1:])]
+        + [_const_piece(knots[-1], INF, vals[-1])])
+
+
 def from_callable(fn: Callable[[float], float], lo: float, hi: float,
                   limit_lo: float, limit_hi: float,
                   samples: int = 2049) -> BVFunction:
@@ -288,6 +290,8 @@ def from_callable(fn: Callable[[float], float], lo: float, hi: float,
     prev = lo
     prev_val = limit_lo
     for k in cuts:
+        if k == prev:   # refined onto the last cut or onto lo
+            continue
         v = fn(k)
         pieces.append(Piece(prev, k, fn, prev_val, v))
         prev, prev_val = k, v

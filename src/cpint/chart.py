@@ -138,10 +138,10 @@ def scan_root(fn, grid: list[float], vals: list[float],
     scan vals = fn(grid), or None.
 
     A grid point with |fn| <= tol is a root.  A sign change between
-    neighbours is bisected down to two adjacent floats.  So is a strict
-    grid-local minimum of |fn| between neighbours of its own sign when
-    golden refinement of -sign*fn over its two cells reaches 0: there fn
-    crosses zero inside a cell.
+    neighbours is closed by illinois_zero.  So is a strict grid-local
+    minimum of |fn| between neighbours of its own sign when golden
+    refinement of -sign*fn over its two cells reaches 0: there fn crosses
+    zero inside a cell, or touches it at the point found.
     """
     for i, v in enumerate(vals):
         if abs(v) <= tol:
@@ -156,20 +156,12 @@ def scan_root(fn, grid: list[float], vals: list[float],
             hi, w = golden_max(lambda x: -s * fn(x), lo, grid[i + 1])
             if w < 0.0:
                 continue
+            if w == 0.0:
+                return hi
             vhi = -s * w
         else:
             continue
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                return lo if abs(vlo) <= abs(vhi) else hi
-            vm = fn(mid)
-            if vm == 0.0:
-                return mid
-            if (vm > 0.0) == (vlo > 0.0):
-                lo, vlo = mid, vm
-            else:
-                hi, vhi = mid, vm
+        return illinois_zero(fn, lo, vlo, hi, vhi)
     return None
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bv import BVFunction, Piece, normalize_nbv, rs_integral
+from .bv import BVFunction, cut_at, normalize_nbv, rs_integral
 from .cfun import (DEFAULT_TOL, ContinuousFunctionBar, TestFunction,
                    audit_on_interval, _safe)
 from .chart import (INF, NEG_INF, decompactify, scan_max, scan_root,
@@ -67,12 +67,8 @@ def pair_with_test(f: Distribution, phi: TestFunction,
     pieces, 0, rising to phi(center), falling, 0.
     """
     lo, hi = phi.support
-    c, top = phi.center, phi(phi.center)
-    g = BVFunction([Piece(NEG_INF, lo, lambda x: 0.0, 0.0, 0.0),
-                    Piece(lo, c, phi.evaluator, 0.0, top),
-                    Piece(c, hi, phi.evaluator, top, 0.0),
-                    Piece(hi, INF, lambda x: 0.0, 0.0, 0.0)])
-    return integral_product(f, g, tol)
+    return integral_product(f, cut_at(phi.evaluator, [lo, phi.center, hi]),
+                            tol)
 
 
 @dataclass(frozen=True)
@@ -224,10 +220,7 @@ def taylor_expand(inp: TaylorInput, x: float,
     elif x == a:
         rem = 0.0
     else:
-        g0 = -(x - a) ** n
-        g = BVFunction([Piece(NEG_INF, a, lambda t: g0, g0, g0),
-                        Piece(a, x, lambda t: -(x - t) ** n, g0, 0.0),
-                        Piece(x, INF, lambda t: 0.0, 0.0, 0.0)])
+        g = cut_at(lambda t: -(x - t) ** n, [a, x])
         # the limits at +-inf are never read on [a, x]
         F = ContinuousFunctionBar(fn, 0.0, 0.0)
         kernel_int = rs_integral(F, g, a, x, tol)

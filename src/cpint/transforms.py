@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .bv import BVFunction, Piece, constant, monotone, rs_integral
+from .bv import BVFunction, Piece, constant, cut_at, monotone, rs_integral
 from .cfun import DEFAULT_TOL, _tail_limit
 from .chart import INF, NEG_INF, illinois_zero
 from .errors import DomainError, NoLimitAtInfinity
@@ -152,13 +152,7 @@ def _laplace_kernel_bv(z: complex, part: str, n: int,
     else:
         cuts = _laplace_cuts(x, y, 0.0 if part == "re" else math.pi / 2,
                              n, T)
-    ends = [0.0] + cuts + [T]
-    vals = [kernel(t) for t in ends]
-    return BVFunction(
-        [Piece(NEG_INF, 0.0, lambda t: vals[0], vals[0], vals[0])]
-        + [Piece(a, b, kernel, va, vb)
-           for a, b, va, vb in zip(ends, ends[1:], vals, vals[1:])]
-        + [Piece(T, INF, lambda t: vals[-1], vals[-1], vals[-1])])
+    return cut_at(kernel, [0.0] + cuts + [T])
 
 
 def _check_laplace_point(z: complex) -> None:

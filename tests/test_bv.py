@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from cpint.bv import (BVFunction, Piece, blocks, constant, from_callable,
                       from_knots, heaviside, indicator, monotone,
                       normalize_nbv, rs_integral, variation)
 from cpint.cfun import ContinuousFunctionBar, bump
-from cpint.chart import INF, NEG_INF
+from cpint.chart import INF, NEG_INF, compactify, decompactify
 from cpint.errors import BudgetExceeded, IntervalEmpty, MalformedPieces
-from cpint.products import pair_with_test
+from cpint.fixtures import gaussian_distribution
+from cpint.products import integral_product, pair_with_test
 from cpint.space import Distribution
 from cpint.transforms import poisson_kernel_bv
 
@@ -82,6 +84,59 @@ class TestPointValuesAndLimits:
     def test_malformed_pieces_rejected(self):
         with pytest.raises(MalformedPieces):
             blocks([(1.0, 2.0, 1.0), (1.5, 3.0, 1.0)])  # overlap
+
+    def test_zero_length_piece_rejected(self):
+        zero = lambda x: 0.0
+        with pytest.raises(MalformedPieces):
+            BVFunction([Piece(NEG_INF, 0.0, zero, 0.0, 0.0),
+                        Piece(0.0, 0.0, zero, 0.0, 1.0),
+                        Piece(0.0, INF, zero, 1.0, 1.0)])
+
+
+class TestPointIndicator:
+    """indicator(a, a): zero on both sides of a, its value at a stored."""
+
+    def test_limits_and_variation(self):
+        g = indicator(0.0, 0.0)
+        assert g.breakpoints == (0.0,)
+        assert (g.left_limit(0.0), g(0.0), g.right_limit(0.0)) == (
+            0.0, 1.0, 0.0)
+        assert variation(g) == 2.0
+
+    @pytest.mark.parametrize("left,right", [(True, False), (False, True),
+                                            (False, False)])
+    def test_half_open_point_is_empty(self, left, right):
+        g = indicator(0.5, 0.5, include_left=left, include_right=right)
+        assert g(0.5) == 0.0
+        assert variation(g) == 0.0
+
+    def test_product_is_zero(self):
+        f = gaussian_distribution()
+        assert integral_product(f, indicator(0.0, 0.0)) == 0.0
+        assert integral_product(f, indicator(0.0, 1e-300)) == 0.0
+
+    def test_point_at_infinity(self):
+        top, bottom = indicator(INF, INF), indicator(NEG_INF, NEG_INF)
+        assert (top(NEG_INF), top(0.0), top(INF)) == (0.0, 0.0, 1.0)
+        assert (bottom(NEG_INF), bottom(0.0), bottom(INF)) == (1.0, 0.0, 0.0)
+        assert top.breakpoints == bottom.breakpoints == ()
+
+
+class TestLookupScaling:
+    def test_limits_and_variation_of_20000_knots(self):
+        # every lookup is one bisection, so this is n log n; a scan of
+        # the breakpoints per lookup took tens of seconds
+        n = 20000
+        g = from_knots([float(i) for i in range(n)],
+                       [math.sin(i) for i in range(n)])
+        start = time.perf_counter()
+        for p in g.breakpoints:
+            g.left_limit(p)
+            g.right_limit(p)
+        v = g.variation()
+        assert time.perf_counter() - start < 2.0
+        assert v == pytest.approx(sum(abs(math.sin(i + 1) - math.sin(i))
+                                      for i in range(n - 1)), rel=1e-12)
 
 
 class TestRsIntegral:
@@ -317,6 +372,15 @@ class TestFromCallable:
         # comparison of values can place a cut closer than that
         assert cuts == pytest.approx([math.pi, 2.0 * math.pi], abs=2e-8)
         assert [math.cos(b) for b in cuts] == [-1.0, 1.0]
+
+    def test_cut_at_lo_is_dropped(self):
+        # a spike at the second sample that golden section never sees: the
+        # sampled maximum refines to lo itself, a cut equal to the last
+        x1 = decompactify(compactify(1.0) / 2048)
+        fn = lambda x: max(0.0, 1.0 - abs(x - x1) / 1e-9) - x
+        g = from_callable(fn, 0.0, 1.0, fn(0.0), fn(1.0))
+        assert g.breakpoints == (0.0, 1.0)
+        assert variation(g) == 1.0
 
     def test_finite_hi_is_one_breakpoint(self):
         g = from_callable(lambda t: math.cos(t), 0.0, 7.0, 1.0,

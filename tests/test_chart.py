@@ -73,6 +73,13 @@ class TestScanRoot:
         root = self._root(lambda t: 1e-4 - (t - 0.43) ** 2)
         assert root == pytest.approx(0.42, abs=1e-15)
 
+    def test_touching_zero_inside_one_cell(self):
+        # zero only on [0.429, 0.431]: golden refinement of the cell lands
+        # on the zero, which is returned as found
+        fn = lambda t: max(0.0, abs(t - 0.43) - 1e-3)
+        root = self._root(fn, tol=0.0)
+        assert 0.429 <= root <= 0.431 and fn(root) == 0.0
+
     def test_no_root_when_sign_is_kept(self):
         assert self._root(lambda t: 1e-4 + (t - 0.43) ** 2) is None
 
