@@ -35,8 +35,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chart import (INF, NEG_INF, decompactify, decompactify_many, scan_max,
-                    uniform_u_grid)
-from .errors import BudgetExceeded, NoLimitAtInfinity, NotContinuous
+                    u_grid)
+from .errors import UNDEFINED, BudgetExceeded, NoLimitAtInfinity, NotContinuous
 
 DEFAULT_TOL = 1e-10
 
@@ -49,16 +49,12 @@ _STALL_LIMIT = 8            # consecutive non-shrinking refinements => jump
 _STALL_RATIO = 0.95         # "failed to shrink" threshold per refinement
 _DEPTH_CAP = 40             # bisections of one audit cell
 _ROUNDOFF = 16 * 2.0 ** -52   # relative roundoff of values, as a floor on tol
-_UNDEFINED = (OverflowError, ValueError, ZeroDivisionError)   # read as NaN
-
-_EXTREMES_US = np.array(uniform_u_grid(_EXTREMES_GRID))
-_EXTREMES_US.flags.writeable = False
 
 
 def _safe(evaluator: Callable[[float], float], x: float) -> float:
     try:
         v = evaluator(x)
-    except _UNDEFINED:
+    except UNDEFINED:
         return math.nan
     return v
 
@@ -66,7 +62,7 @@ def _safe(evaluator: Callable[[float], float], x: float) -> float:
 def _many(evaluator: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
     """The evaluator at each x of a float array: its array form where it
     carries one, else one call at each x as a Python float, in one loop,
-    with NaN where a call raises one of _UNDEFINED."""
+    with NaN where a call raises one of UNDEFINED."""
     many = getattr(evaluator, "many", None)
     if many is not None:
         return many(xs)
@@ -75,7 +71,7 @@ def _many(evaluator: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
     for x in xs.tolist():
         try:
             append(evaluator(x))
-        except _UNDEFINED:
+        except UNDEFINED:
             append(math.nan)
     return np.array(vals, dtype=float)
 
@@ -106,7 +102,7 @@ class ContinuousFunctionBar:
             return self.limit_neg
         try:
             return self.evaluator(x)
-        except _UNDEFINED:
+        except UNDEFINED:
             return math.nan
 
     def at_u(self, u: float) -> float:
@@ -117,7 +113,7 @@ class ContinuousFunctionBar:
             return self.limit_neg
         try:
             return self.evaluator(u / (1.0 - abs(u)))
-        except _UNDEFINED:
+        except UNDEFINED:
             return math.nan
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
@@ -290,7 +286,7 @@ def _audit_grid(feval_many, grid: np.ndarray, tol: float,
 
 def _audited(F: "ContinuousFunctionBar", tol: float) -> "ContinuousFunctionBar":
     """F, once the oscillation audit over the whole chart has passed."""
-    _audit_grid(F.at_u_many, np.array(uniform_u_grid(_AUDIT_GRID)), tol)
+    _audit_grid(F.at_u_many, u_grid(_AUDIT_GRID), tol)
     return F
 
 
@@ -329,12 +325,12 @@ def extremes(F: ContinuousFunctionBar) -> tuple[float, float]:
     Grid scan in the compact chart, then golden refinement of the best
     cells around the surviving local extrema.
     """
-    vals = F.at_u_many(_EXTREMES_US)
+    us = u_grid(_EXTREMES_GRID)
+    vals = F.at_u_many(us)
     if np.isnan(vals).any():
         raise BudgetExceeded("evaluator undefined inside extremes scan")
-    sup = scan_max(F.at_u, _EXTREMES_US, vals, _EXTREMES_REFINE)
-    inf = -scan_max(lambda u: -F.at_u(u), _EXTREMES_US, -vals,
-                    _EXTREMES_REFINE)
+    sup = scan_max(F.at_u, us, vals, _EXTREMES_REFINE)
+    inf = -scan_max(lambda u: -F.at_u(u), us, -vals, _EXTREMES_REFINE)
     return sup, inf
 
 

@@ -3,12 +3,14 @@
 Everything numeric in the library happens in the coordinate
 u = x / (1 + |x|), which maps [-inf, inf] onto [-1, 1] with a strictly
 increasing algebraic bijection.  Grids, audits and refinements all live
-in u; x-space values are recovered with :func:`decompactify`.  The
-scan-and-refine kernel below does every grid refinement in the library.
+in u; x-space values are recovered with :func:`decompactify`.  Each fixed
+grid is built once, by :func:`u_grid`, and the scan-and-refine kernel
+below does every grid refinement in the library.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -53,6 +55,14 @@ def uniform_u_grid(n: int) -> list[float]:
         raise ValueError("grid needs at least 2 points")
     step = 2.0 / (n - 1)
     return [-1.0 + i * step for i in range(n)]
+
+
+@functools.cache
+def u_grid(n: int) -> np.ndarray:
+    """uniform_u_grid(n) as a read-only array, built once per n."""
+    us = np.array(uniform_u_grid(n))
+    us.flags.writeable = False
+    return us
 
 
 def parse_extended(text: str) -> float:
@@ -132,36 +142,32 @@ def scan_max(fn, grid, vals, top_k: int) -> float:
     return best
 
 
-def scan_root(fn, grid: list[float], vals: list[float],
-              tol: float) -> Optional[float]:
+def scan_root(fn, grid, vals, tol: float) -> Optional[float]:
     """Leftmost root of fn found by one left-to-right pass over the grid
-    scan vals = fn(grid), or None.
+    scan vals = fn(grid), given as float arrays, or None.
 
     A grid point with |fn| <= tol is a root.  A sign change between
     neighbours is closed by illinois_zero.  So is a strict grid-local
     minimum of |fn| between neighbours of its own sign when golden
     refinement of -sign*fn over its two cells reaches 0: there fn crosses
-    zero inside a cell, or touches it at the point found.
+    zero inside a cell, or touches it at the point found.  Array
+    comparisons find the candidates; a value's sign is its sign bit.
     """
-    for i, v in enumerate(vals):
-        if abs(v) <= tol:
-            return grid[i]
-        if i == 0:
-            continue
-        lo, vlo = grid[i - 1], vals[i - 1]
-        s = math.copysign(1.0, v)
-        if s * vlo < 0.0:
-            hi, vhi = grid[i], v
-        elif i + 1 < len(vals) and s * vlo > s * v < s * vals[i + 1]:
-            hi, w = golden_max(lambda x: -s * fn(x), lo, grid[i + 1])
-            if w < 0.0:
-                continue
-            if w == 0.0:
-                return hi
-            vhi = -s * w
-        else:
-            continue
-        return illinois_zero(fn, lo, vlo, hi, vhi)
+    grid = np.asarray(grid, dtype=float)
+    vals = np.asarray(vals, dtype=float)
+    s, a = np.copysign(1.0, vals), np.abs(vals)
+    before = s * np.r_[np.nan, vals[:-1]]      # s[i] * vals[i - 1]
+    after = s * np.r_[vals[1:], np.nan]        # s[i] * vals[i + 1]
+    cand = (a <= tol) | (before < 0.0) | ((before > a) & (a < after))
+    for i in np.flatnonzero(cand).tolist():
+        if a[i] <= tol:
+            return float(grid[i])
+        lo, vlo, sgn = float(grid[i - 1]), float(vals[i - 1]), float(s[i])
+        if sgn * vlo < 0.0:
+            return illinois_zero(fn, lo, vlo, float(grid[i]), float(vals[i]))
+        hi, w = golden_max(lambda x: -sgn * fn(x), lo, float(grid[i + 1]))
+        if w >= 0.0:
+            return hi if w == 0.0 else illinois_zero(fn, lo, vlo, hi, -sgn * w)
     return None
 
 

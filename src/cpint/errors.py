@@ -1,6 +1,10 @@
 """Exception hierarchy shared by all cpint modules."""
 
 
+# raised by an evaluator where its value is undefined; read as NaN
+UNDEFINED = (OverflowError, ValueError, ZeroDivisionError)
+
+
 class CpintError(Exception):
     """Base class for all library errors."""
 

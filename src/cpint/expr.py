@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Generator, Optional
 
-from .errors import EvalError, ExprSyntaxError, UnknownFunction
+from .errors import UNDEFINED, EvalError, ExprSyntaxError, UnknownFunction
 
 _FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sin": math.sin,
@@ -260,16 +260,13 @@ def compile_expr(src: str) -> Callable[[float], float]:
     return parse(src)._function
 
 
-_FAULTS = (OverflowError, ValueError, ZeroDivisionError)
-
-
 def _fault(x: float, exc: Exception) -> EvalError:
     return EvalError(f"evaluation failed at x={x!r}: {exc}")
 
 
 # The only names the generated code reads, besides x and its temporaries.
 _NAMESPACE = {"_float": float, "_pow": math.pow, "_inf": math.inf,
-              "_FAULTS": _FAULTS, "_fault": _fault,
+              "_UNDEFINED": UNDEFINED, "_fault": _fault,
               **{f"f_{name}": fn for name, fn in _FUNCTIONS.items()}}
 
 
@@ -359,7 +356,7 @@ def _compile(tree: Node) -> Callable[[float], float]:
               "    try:\n"
               f"{body}"
               f"        return {value}\n"
-              "    except _FAULTS as exc:\n"
+              "    except _UNDEFINED as exc:\n"
               "        raise _fault(x, exc) from exc\n")
     namespace = dict(_NAMESPACE)
     exec(compile(source, "<expression>", "exec"), namespace)

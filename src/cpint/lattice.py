@@ -17,13 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .cfun import DEFAULT_TOL, ContinuousFunctionBar
-from .chart import decompactify_many, golden_max, uniform_u_grid
+from .chart import decompactify, golden_max, u_grid
 from .errors import BudgetExceeded
 from .space import Distribution, zero
 
 _COMPARE_GRID = 4097
-_COMPARE_XS = tuple(
-    decompactify_many(np.array(uniform_u_grid(_COMPARE_GRID))).tolist())
 _ABS_START_LEVEL = 4
 _ABS_MAX_LEVEL = 18
 _ABS_DIVERGENT_RUN = 8
@@ -36,6 +34,12 @@ class Order(enum.Enum):
     GREATER_OR_EQUAL = "GreaterOrEqual"
     EQUAL = "Equal"
     INCOMPARABLE = "Incomparable"
+
+
+# the order shown by (a witness below, a witness above)
+_ORDERS = {(False, False): Order.EQUAL, (True, False): Order.LESS_OR_EQUAL,
+           (False, True): Order.GREATER_OR_EQUAL,
+           (True, True): Order.INCOMPARABLE}
 
 
 class LatticeKind(enum.Enum):
@@ -52,24 +56,17 @@ class OrderResult:
 
 def compare(f: Distribution, g: Distribution,
             tol: float = DEFAULT_TOL) -> OrderResult:
-    """Grid-audited pointwise comparison of the primitives: F, then G, at
-    each x of the chart grid from -inf up, to the first x that gives the
-    second witness; each witness is the first x that shows its side."""
-    F, G = f.primitive, g.primitive
-    below = above = None
-    for x in _COMPARE_XS:
-        d = F(x) - G(x)
-        if d < -tol and below is None:
-            below = x
-        elif d > tol and above is None:
-            above = x
-        if below is not None and above is not None:
-            return OrderResult(Order.INCOMPARABLE, below, above)
-    if below is None and above is None:
-        return OrderResult(Order.EQUAL)
-    if above is None:
-        return OrderResult(Order.LESS_OR_EQUAL, witness_below=below)
-    return OrderResult(Order.GREATER_OR_EQUAL, witness_above=above)
+    """Grid-audited pointwise comparison of the primitives: one array of
+    F - G over the whole chart grid, each primitive read once at each of
+    its points; each witness is the first x, from -inf up, that shows its
+    side.  A NaN difference shows neither side."""
+    us = u_grid(_COMPARE_GRID)
+    with np.errstate(all="ignore"):
+        d = f.primitive.at_u_many(us) - g.primitive.at_u_many(us)
+    below, above = (decompactify(float(us[side.argmax()])) if side.any()
+                    else None for side in (d < -tol, d > tol))
+    return OrderResult(_ORDERS[below is not None, above is not None],
+                       below, above)
 
 
 def lattice_op(f: Distribution, g: Distribution,
@@ -161,7 +158,7 @@ def abs_norm(f: Distribution, tol: float = DEFAULT_TOL) -> AbsNormResult:
     """
     F = f.primitive
     level = _ABS_START_LEVEL
-    us = np.array(uniform_u_grid(2 ** level + 1))
+    us = u_grid(2 ** level + 1)
     vals = F.at_u_many(us)
     done: set = set()
     extrema = 0

@@ -15,13 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .bv import BVFunction, cut_at, normalize_nbv, rs_integral
 from .cfun import (DEFAULT_TOL, ContinuousFunctionBar, TestFunction,
                    audit_on_interval, _safe)
-from .chart import (INF, NEG_INF, decompactify, scan_max, scan_root,
-                    uniform_u_grid)
+from .chart import INF, NEG_INF, decompactify, scan_max, scan_root, u_grid
 from .errors import DomainError, NonMonotone, ResidualTooLarge
 from .space import Distribution, norm
 
@@ -148,9 +145,9 @@ def second_mvt_xi(f: Distribution, g: BVFunction,
     def residual(x: float) -> float:
         return ga * F(x) + gb * (F.limit_pos - F(x)) - total
 
-    grid = uniform_u_grid(4097)
-    vals = (F.at_u_many(np.array(grid)) - target).tolist()
-    u = scan_root(lambda t: F.at_u(t) - target, grid, vals, tol)
+    us = u_grid(4097)
+    u = scan_root(lambda t: F.at_u(t) - target, us, F.at_u_many(us) - target,
+                  tol)
     if u is None:
         raise ResidualTooLarge("no xi found: engine inconsistency")
     xi = decompactify(u)

@@ -17,14 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from .chart import decompactify_many, uniform_u_grid
+from .chart import u_grid
 from .cfun import (DEFAULT_TOL, ContinuousFunctionBar, build_continuous,
                    extremes, sup_norm, _audited, _tail_limit, _with_many)
 from .errors import IntervalEmpty
 
 _EQUALITY_GRID = 1025
-_EQUALITY_XS = tuple(
-    decompactify_many(np.array(uniform_u_grid(_EQUALITY_GRID))).tolist())
 
 
 class NormKind(enum.Enum):
@@ -119,14 +117,14 @@ def linear_combine(a: float, f: Distribution, g: Distribution) -> Distribution:
 
 def equal(f: Distribution, g: Distribution,
           tol: float = DEFAULT_TOL) -> bool:
-    """Audit-grid equality of primitives; a semi-decision, as any finite
-    comparison of function values must be.  Its default tol is that of
-    lattice.compare, so the two agree on what counts as equal."""
-    F, G = f.primitive, g.primitive
-    for x in _EQUALITY_XS:
-        if not abs(F(x) - G(x)) <= tol:     # NaN is not within tol
-            return False
-    return True
+    """Audit-grid equality of primitives, read from one array of F - G; a
+    semi-decision, as any finite comparison of function values must be.
+    Its default tol is that of lattice.compare, so the two agree on what
+    counts as equal.  A NaN difference is not within tol."""
+    us = u_grid(_EQUALITY_GRID)
+    with np.errstate(all="ignore"):
+        d = f.primitive.at_u_many(us) - g.primitive.at_u_many(us)
+    return bool(np.all(np.abs(d) <= tol))
 
 
 def hake_extend(F_finite: Callable[[float], float],

@@ -38,7 +38,10 @@ def poisson_kernel_bv(x: float, y: float) -> BVFunction:
     peak = 1.0 / (math.pi * y)
 
     def K(t: float) -> float:
-        return y / (math.pi * ((x - t) ** 2 + y * y))
+        try:
+            return y / (math.pi * ((x - t) ** 2 + y * y))
+        except OverflowError:   # |x - t| > 1.3e154; 0.0 from 7.6e153 on
+            return 0.0
 
     return BVFunction([Piece(NEG_INF, x, K, 0.0, peak),
                        Piece(x, INF, K, peak, 0.0)])

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from cpint.chart import (INF, NEG_INF, compactify, decompactify,
                          format_extended, golden_max, parse_extended,
-                         scan_max, scan_root, uniform_u_grid)
+                         scan_max, scan_root, u_grid, uniform_u_grid)
 
 
 class TestCompactify:
@@ -53,6 +53,14 @@ class TestGrid:
         assert len(g) == 1025
         assert g[0] == -1.0 and g[-1] == 1.0
         assert all(a < b for a, b in zip(g, g[1:]))
+
+    @pytest.mark.parametrize("n", [2, 17, 1025, 4097, 8193])
+    def test_array_built_once_and_read_only(self, n):
+        us = u_grid(n)
+        assert us is u_grid(n)
+        assert us.tolist() == uniform_u_grid(n)
+        with pytest.raises(ValueError):
+            us[0] = 0.0
 
 
 class TestScanRoot:

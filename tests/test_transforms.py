@@ -33,6 +33,14 @@ class TestPoisson:
         assert variation(g) == pytest.approx(2.0 / (math.pi * 0.25),
                                              abs=1e-14)
 
+    @pytest.mark.parametrize("t", [1e155, -1e155, 1e300, -1e300])
+    def test_kernel_far_from_its_peak(self, t):
+        # (x - t) ** 2 overflows past |x - t| = 1.3e154; the kernel is
+        # 0.0 there, as it already is from 7.6e153 on
+        g = poisson_kernel_bv(0.0, 1.0)
+        assert g(t) == 0.0
+        assert g(7.5e153) > 0.0 == g(7.6e153)
+
     def test_indicator_closed_form(self):
         f = indicator_distribution()
         for x, y in ((0.0, 1.0), (0.5, 0.3), (-2.0, 2.0)):
