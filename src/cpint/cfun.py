@@ -6,7 +6,7 @@ of C0 over [-inf, inf] is not certifiable by any finite procedure, so
 :func:`build_continuous` runs two evidence-grade audits instead:
 
 * a tail audit checking that the evaluator settles onto the claimed
-  limits along a geometric approach to +-inf, and
+  limits, or onto limits it finds, along a geometric approach to +-inf, and
 * an oscillation audit on a dyadic refinement of the compact chart that
   flags jumps (oscillation that refuses to shrink under refinement).
   Every cell of the audit grid descends at once, level by level, with
@@ -199,13 +199,11 @@ class ContinuousFunctionBar:
             abs(self.limit_neg), abs(self.limit_pos))
 
 
-def _tail_limit(evaluator, sign: int, tol: float,
-                limit: Optional[float] = None) -> float:
-    """Check the evaluator settles along x = sign*(2**k - 1) onto the
-    claimed `limit` or, when none is claimed, onto the mean of its
-    samples; return that limit."""
-    xs = [sign * (2.0 ** k - 1.0) for k in _TAIL_EXPONENTS]
-    samples = ((x, _safe(evaluator, x)) for x in xs)
+def _settled(samples, tol: float, limit: Optional[float] = None) -> float:
+    """The limit that (x, value) samples settle onto: the claimed `limit`
+    or, when none is claimed, the mean of the values.  Each value must lie
+    within tol*(1+|limit|) of it, else NoLimitAtInfinity names the first
+    that does not."""
     if limit is None:
         samples = list(samples)
         limit = sum(v for _, v in samples) / len(samples)
@@ -214,6 +212,14 @@ def _tail_limit(evaluator, sign: int, tol: float,
             raise NoLimitAtInfinity(
                 f"evaluator at x={x:g} gives {v!r}, limit {limit!r}")
     return limit
+
+
+def _tail_limit(evaluator, sign: int, tol: float,
+                limit: Optional[float] = None) -> float:
+    """The limit the evaluator settles onto along x = sign*(2**k - 1),
+    claimed or found as in _settled."""
+    xs = [sign * (2.0 ** k - 1.0) for k in _TAIL_EXPONENTS]
+    return _settled(((x, _safe(evaluator, x)) for x in xs), tol, limit)
 
 
 def _audit_grid(feval_many, grid: np.ndarray, tol: float,
@@ -284,12 +290,6 @@ def _audit_grid(feval_many, grid: np.ndarray, tol: float,
         raise failure
 
 
-def _audited(F: "ContinuousFunctionBar", tol: float) -> "ContinuousFunctionBar":
-    """F, once the oscillation audit over the whole chart has passed."""
-    _audit_grid(F.at_u_many, u_grid(_AUDIT_GRID), tol)
-    return F
-
-
 def audit_on_interval(fn: Callable[[float], float], a: float, b: float,
                       tol: float = DEFAULT_TOL) -> None:
     """Oscillation audit of fn on the finite interval [a, b].
@@ -305,18 +305,24 @@ def audit_on_interval(fn: Callable[[float], float], a: float, b: float,
 
 
 def build_continuous(evaluator: Callable[[float], float],
-                     limit_neg: float, limit_pos: float,
+                     limit_neg: Optional[float] = None,
+                     limit_pos: Optional[float] = None,
                      tol: float = DEFAULT_TOL) -> ContinuousFunctionBar:
-    """Audited constructor for C0 of the extended real line.
-
-    Raises NoLimitAtInfinity if the tails do not settle onto the claimed
-    limits, NotContinuous if the oscillation audit detects a jump.
+    """Audited constructor for C0 of the extended real line, and the one
+    place that decides its limits.  A claimed limit is checked and an
+    omitted one found, as in _settled, on the +inf tail and then the -inf
+    tail; then the oscillation audit runs over the whole chart.  Raises
+    NoLimitAtInfinity if a tail does not settle, NotContinuous if the
+    audit detects a jump.
     """
-    if not (math.isfinite(limit_neg) and math.isfinite(limit_pos)):
+    if not all(math.isfinite(c) for c in (limit_neg, limit_pos)
+               if c is not None):
         raise NoLimitAtInfinity("claimed limits must be finite reals")
-    _tail_limit(evaluator, +1, tol, limit_pos)
-    _tail_limit(evaluator, -1, tol, limit_neg)
-    return _audited(ContinuousFunctionBar(evaluator, limit_neg, limit_pos), tol)
+    limit_pos = _tail_limit(evaluator, +1, tol, limit_pos)
+    limit_neg = _tail_limit(evaluator, -1, tol, limit_neg)
+    F = ContinuousFunctionBar(evaluator, limit_neg, limit_pos)
+    _audit_grid(F.at_u_many, u_grid(_AUDIT_GRID), tol)
+    return F
 
 
 def extremes(F: ContinuousFunctionBar) -> tuple[float, float]:

@@ -25,6 +25,7 @@ from typing import Optional
 from . import acceptance, convergence, transforms
 from .bv import (BVFunction, blocks, constant, from_knots, heaviside,
                  indicator, monotone)
+from .cfun import build_continuous
 from .chart import parse_extended
 from .errors import CpintError
 from .expr import compile_expr
@@ -64,34 +65,43 @@ def _build_distribution(args) -> Distribution:
     return hake_extend(F, tol=args.tol)
 
 
-def _parse_bv(spec: str) -> BVFunction:
+def _numbers(text: str, count: Optional[int] = None,
+             parse=float) -> list[float]:
+    """The comma-separated numbers of a BV spec, `count` of them where
+    given; anything else is a usage error."""
+    try:
+        vals = [parse(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise SystemExit(_usage(f"malformed BV spec: {exc}"))
+    if count is not None and len(vals) != count:
+        raise SystemExit(_usage(f"malformed BV spec: {text!r} is not "
+                                f"{count} numbers"))
+    return vals
+
+
+def _parse_bv(spec: str, tol: float) -> BVFunction:
+    """The BV multiplier of a spec.  build_continuous checks a monotone
+    spec's limits, or finds them where omitted, and audits its
+    expression."""
     kind, _, rest = spec.partition(":")
     if kind == "heaviside":
         return heaviside()
     if kind == "constant":
-        return constant(float(rest))
+        return constant(*_numbers(rest, 1))
     if kind == "indicator":
-        a, b = (parse_extended(s) for s in rest.split(","))
-        return indicator(a, b)
+        return indicator(*_numbers(rest, 2, parse_extended))
     if kind == "monotone":
         expr, _, lims = rest.partition(";")
         fn = compile_expr(expr)
-        if lims:
-            lo, hi = (float(s) for s in lims.split(","))
-        else:
-            lo, hi = fn(-1e9), fn(1e9)
-        return monotone(fn, lo, hi)
+        lo, hi = _numbers(lims, 2) if lims else (None, None)
+        F = build_continuous(fn, lo, hi, tol)
+        return monotone(fn, F.limit_neg, F.limit_pos)
     if kind == "knots":
         xs, _, vs = rest.partition(";")
-        return from_knots([float(s) for s in xs.split(",")],
-                          [float(s) for s in vs.split(",")])
+        return from_knots(_numbers(xs), _numbers(vs))
     if kind == "blocks":
-        spans = []
-        for chunk in rest.split(";"):
-            a, b, h = (float(s) for s in chunk.split(","))
-            spans.append((a, b, h))
-        return blocks(spans)
-    raise CpintError(f"unknown BV spec kind {kind!r}")
+        return blocks([_numbers(chunk, 3) for chunk in rest.split(";")])
+    raise SystemExit(_usage(f"unknown BV spec kind {kind!r}"))
 
 
 def _usage(msg: str) -> int:
@@ -120,10 +130,8 @@ def _cmd_integrate(args) -> int:
         # a finite window only needs the primitive on [a, b]: clamp it
         # outside, which represents f restricted to the window
         F = compile_expr(args.primitive)
-        from .space import distribution_from_evaluator
         Fa = F(a)
-        f = distribution_from_evaluator(
-            lambda x: F(min(max(x, a), b)) - Fa, 0.0, F(b) - Fa, tol=args.tol)
+        f = hake_extend(lambda x: F(min(max(x, a), b)) - Fa, tol=args.tol)
     else:
         f = _build_distribution(args)
     value = integral(f, a, b)
@@ -145,7 +153,7 @@ def _cmd_norm(args) -> int:
 
 def _cmd_product(args) -> int:
     f = _build_distribution(args)
-    g = _parse_bv(args.bv)
+    g = _parse_bv(args.bv, args.tol)
     value = integral_product(f, g, args.tol)
     _emit(["bv", "value"], [[args.bv, value]])
     return 0

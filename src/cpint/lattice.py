@@ -18,7 +18,7 @@ import numpy as np
 
 from .cfun import DEFAULT_TOL, ContinuousFunctionBar
 from .chart import decompactify, golden_max, u_grid
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, DomainError
 from .space import Distribution, zero
 
 _COMPARE_GRID = 4097
@@ -59,7 +59,10 @@ def compare(f: Distribution, g: Distribution,
     """Grid-audited pointwise comparison of the primitives: one array of
     F - G over the whole chart grid, each primitive read once at each of
     its points; each witness is the first x, from -inf up, that shows its
-    side.  A NaN difference shows neither side."""
+    side.  A NaN difference shows neither side.  A negative or NaN tol
+    raises DomainError."""
+    if not tol >= 0.0:
+        raise DomainError(f"compare needs tol >= 0, got {tol!r}")
     us = u_grid(_COMPARE_GRID)
     with np.errstate(all="ignore"):
         d = f.primitive.at_u_many(us) - g.primitive.at_u_many(us)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .chart import u_grid
 from .cfun import (DEFAULT_TOL, ContinuousFunctionBar, build_continuous,
-                   extremes, sup_norm, _audited, _tail_limit, _with_many)
-from .errors import IntervalEmpty
+                   extremes, sup_norm, _with_many)
+from .errors import DomainError, IntervalEmpty
 
 _EQUALITY_GRID = 1025
 
@@ -120,7 +120,10 @@ def equal(f: Distribution, g: Distribution,
     """Audit-grid equality of primitives, read from one array of F - G; a
     semi-decision, as any finite comparison of function values must be.
     Its default tol is that of lattice.compare, so the two agree on what
-    counts as equal.  A NaN difference is not within tol."""
+    counts as equal.  A NaN difference is not within tol; a negative or
+    NaN tol raises DomainError."""
+    if not tol >= 0.0:
+        raise DomainError(f"equal needs tol >= 0, got {tol!r}")
     us = u_grid(_EQUALITY_GRID)
     with np.errstate(all="ignore"):
         d = f.primitive.at_u_many(us) - g.primitive.at_u_many(us)
@@ -131,13 +134,9 @@ def hake_extend(F_finite: Callable[[float], float],
                 tol: float = DEFAULT_TOL) -> Distribution:
     """Extend a continuous function on the finite reals to a primitive.
 
-    If both tail limits exist (audited geometrically) the extension lies
-    in the space and there is nothing "improper" left to take a limit
-    of.  Raises NoLimitAtInfinity when a tail does not settle, e.g. for
-    sin(x).  The limits are the means of the tail samples, which have
-    settled onto them, so only the oscillation audit remains.
+    If both tail limits exist the extension lies in the space and there
+    is nothing "improper" left to take a limit of.  build_continuous
+    finds them and audits the result; it raises NoLimitAtInfinity when a
+    tail does not settle, e.g. for sin(x).
     """
-    limit_pos = _tail_limit(F_finite, +1, tol)
-    limit_neg = _tail_limit(F_finite, -1, tol)
-    return try_from_primitive(_audited(
-        ContinuousFunctionBar(F_finite, limit_neg, limit_pos), tol))
+    return try_from_primitive(build_continuous(F_finite, tol=tol))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .bv import BVFunction, Piece, constant, cut_at, monotone, rs_integral
-from .cfun import DEFAULT_TOL, _tail_limit
+from .cfun import DEFAULT_TOL, _settled, _tail_limit
 from .chart import INF, NEG_INF, illinois_zero
 from .errors import DomainError, NoLimitAtInfinity
 from .products import integral_product
@@ -34,7 +34,10 @@ class HalfPlanePoint:
 
 def poisson_kernel_bv(x: float, y: float) -> BVFunction:
     """t -> y / (pi ((x-t)^2 + y^2)) as a two-piece monotone BVFunction;
-    variation 2/(pi y)."""
+    variation 2/(pi y).  Raises DomainError where pi y^2 overflows, from
+    y of about 7.6e153 on: the kernel would read 0.0 at its peak."""
+    if not math.isfinite(math.pi * y * y):
+        raise DomainError("Poisson kernel needs pi y^2 finite")
     peak = 1.0 / (math.pi * y)
 
     def K(t: float) -> float:
@@ -158,23 +161,10 @@ def _laplace_kernel_bv(z: complex, part: str, n: int,
     return cut_at(kernel, [0.0] + cuts + [T])
 
 
-def _check_laplace_point(z: complex) -> None:
-    if z.real > 0.0:
-        return
-    if z == 0.0:
-        return
-    raise DomainError("Laplace transform needs re(z) > 0 or z = 0")
-
-
 def laplace(f: Distribution, z: complex,
             tol: float = DEFAULT_TOL) -> complex:
     """Laplace transform of a distribution supported on [0, inf)."""
-    _check_laplace_point(z)
-    if z == 0.0:
-        return complex(f.total, 0.0)
-    re = integral_product(f, _laplace_kernel_bv(z, "re", 0, tol), tol)
-    im = integral_product(f, _laplace_kernel_bv(z, "im", 0, tol), tol)
-    return complex(re, im)
+    return laplace_derivative(f, z, 0, tol)
 
 
 def laplace_derivative(f: Distribution, z: complex, n: int,
@@ -182,18 +172,21 @@ def laplace_derivative(f: Distribution, z: complex, n: int,
     """n-th derivative of the transform: (-1)^n int f(t) t^n e^(-zt) dt.
 
     Differentiation passes under the integral because the difference
-    kernels have uniformly bounded variation for re(z) > 0.
+    kernels have uniformly bounded variation for re(z) > 0.  For n = 0
+    the transform is also defined at z = 0, where it is the total.
     """
     if n < 0:
         raise DomainError("derivative order must be nonnegative")
-    if n == 0:
-        return laplace(f, z, tol)
+    if n == 0 and z == 0.0:
+        return complex(f.total, 0.0)
     if not z.real > 0.0:
-        raise DomainError("derivative exchange needs re(z) > 0")
-    sign = -1.0 if n % 2 else 1.0
+        raise DomainError("Laplace transform needs re(z) > 0, or z = 0 "
+                          "for order 0")
     re = integral_product(f, _laplace_kernel_bv(z, "re", n, tol), tol)
     im = integral_product(f, _laplace_kernel_bv(z, "im", n, tol), tol)
-    return sign * complex(re, im)
+    if n == 0:
+        return complex(re, im)
+    return (-1.0 if n % 2 else 1.0) * complex(re, im)
 
 
 def growth_probe(f: Distribution, alpha: float, radii,
@@ -221,9 +214,10 @@ def weighted_integral(F_loc, r: float, tol: float = DEFAULT_TOL) -> float:
     space is decided by a tail audit of F_r.  For r = 0 that is the tail
     audit of F itself.  For r > 0 the audit samples F_r at
     x_k = cap (1 - 2^-k), k = 1..8, with cap = (log(1/tol) + 50)/r: that
-    is where a divergent F_r (for F = e^(2x) at r = 1) still grows.  One
-    sweep of rs_integral over [x_(k-1), x_k], each to tol/10, builds the
-    Stieltjes term.
+    is where a divergent F_r (for F = e^(2x) at r = 1) still grows.  The
+    samples must settle, by cfun's rule at sqrt(tol), and the value is
+    F_r(x_8).  One sweep of rs_integral over [x_(k-1), x_k], each to
+    tol/10, builds the Stieltjes term.
     """
     if r < 0.0:
         raise DomainError("weighted integral needs r >= 0")
@@ -232,7 +226,7 @@ def weighted_integral(F_loc, r: float, tol: float = DEFAULT_TOL) -> float:
         return _tail_limit(F_loc, +1, tol) - F0
     kernel = monotone(lambda t: -math.exp(-r * t), NEG_INF, 0.0)
     cap = (math.log(1.0 / tol) + 50.0) / r
-    vals = []
+    samples = []
     lo = stieltjes = 0.0
     for k in range(1, 9):
         x = cap * (1.0 - 2.0 ** -k)
@@ -241,10 +235,6 @@ def weighted_integral(F_loc, r: float, tol: float = DEFAULT_TOL) -> float:
         v = F_loc(x) * math.exp(-r * x) - F0 + stieltjes
         if not math.isfinite(v):
             raise NoLimitAtInfinity("weighted primitive overflows")
-        vals.append(v)
-    mean = sum(vals) / len(vals)
-    spread = max(abs(v - mean) for v in vals)
-    if not spread < math.sqrt(tol) * (1.0 + abs(mean)):
-        raise NoLimitAtInfinity(
-            f"weighted primitive spread {spread:g}; not in the weighted space")
-    return vals[-1]
+        samples.append((x, v))
+    _settled(samples, math.sqrt(tol))
+    return samples[-1][1]

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from cpint.cfun import (_AUDIT_GRID, _DEPTH_CAP, _INTERVAL_GRID,
                         _PROFILE_MASS, _ROUNDOFF, _STALL_LIMIT, _STALL_RATIO,
-                        DEFAULT_TOL, ContinuousFunctionBar, _tail_limit,
+                        DEFAULT_TOL, ContinuousFunctionBar, _audit_grid,
+                        _tail_limit,
                         audit_on_interval, build_continuous, bump,
                         delta_sequence, extremes, sup_norm)
-from cpint.chart import decompactify, uniform_u_grid
+from cpint.chart import decompactify, u_grid, uniform_u_grid
 from cpint.errors import NoLimitAtInfinity, NotContinuous
 from cpint.space import distribution_from_evaluator, hake_extend
 
@@ -27,6 +28,25 @@ class TestBuildContinuous:
     def test_rejects_wrong_tail_limit(self):
         with pytest.raises(NoLimitAtInfinity):
             build_continuous(math.atan, -math.pi / 2, 1.0)
+
+    def test_one_claimed_one_found_limit(self):
+        # the claimed -inf limit is kept, the +inf limit is the mean of
+        # the settled tail samples, as hake_extend finds it
+        F = build_continuous(math.atan, -math.pi / 2)
+        assert F.limit_neg == -math.pi / 2
+        assert F.limit_pos == _tail_limit(math.atan, +1, DEFAULT_TOL)
+        assert F.limit_pos == pytest.approx(math.pi / 2, abs=1e-11)
+        G = build_continuous(math.atan, limit_pos=math.pi / 2)
+        assert G.limit_neg == -F.limit_pos
+        assert G.limit_pos == math.pi / 2
+
+    def test_found_limit_does_not_excuse_a_wrong_claim(self):
+        with pytest.raises(NoLimitAtInfinity):
+            build_continuous(math.atan, limit_pos=1.0)
+        with pytest.raises(NoLimitAtInfinity):
+            build_continuous(math.atan, limit_neg=math.nan)
+        with pytest.raises(NoLimitAtInfinity):
+            build_continuous(math.sin, limit_neg=0.0)
 
     def test_rejects_oscillating_tail(self):
         with pytest.raises(NoLimitAtInfinity):
@@ -282,6 +302,26 @@ class TestLockstepAudit:
         _reference_audit(F.at_u, uniform_u_grid(_AUDIT_GRID), DEFAULT_TOL)
         assert len(seen) == len(ref_seen) > 10 * _AUDIT_GRID
         assert sorted(seen) == sorted(ref_seen)
+
+    @pytest.mark.parametrize("claims", [(None, None),
+                                        (-0.4 * math.pi + 0.3,
+                                         0.4 * math.pi + 0.3)])
+    def test_call_order(self, claims):
+        # the +inf tail, then the -inf tail, then the audit, as the
+        # separate steps would make them, in the same order
+        ev, seen = _counted(_ramp)
+        if claims[0] is None:
+            hake_extend(ev)
+        else:
+            distribution_from_evaluator(ev, *claims)
+        ref_ev, ref_seen = _counted(_ramp)
+        hi = _tail_limit(ref_ev, +1, DEFAULT_TOL, claims[1])
+        lo = _tail_limit(ref_ev, -1, DEFAULT_TOL, claims[0])
+        _audit_grid(ContinuousFunctionBar(ref_ev, lo, hi).at_u_many,
+                    u_grid(_AUDIT_GRID), DEFAULT_TOL)
+        assert seen[:64] == [s * (2.0 ** k - 1.0) for s in (1, -1)
+                             for k in range(34, 66)]
+        assert seen == ref_seen
 
     def test_interval_audit_same_calls_as_reference(self):
         ev, seen = _counted(math.sin)

@@ -48,6 +48,11 @@ class TestIntegrate:
         assert float(out.strip().splitlines()[1].split(",")[2]) == \
             pytest.approx(math.pi, abs=1e-12)
 
+    def test_finite_window_bytes(self):
+        code, out, _ = invoke("integrate", "--primitive", "x^3*exp(-x)",
+                              "--from", "-2", "--to", "3.5")
+        assert (code, out) == (0, "a,b,value\n-2,3.5,60.407161605677111\n")
+
     def test_deterministic_output(self):
         argv = ("integrate", "--primitive", "x^2*cos(x^-2)",
                 "--from", "0", "--to", "1")
@@ -136,6 +141,43 @@ class TestOtherCommands:
         assert header == "re_z,im_z,order,re_value,im_value"
         value = complex(*map(float, row.split(",")[3:]))
         assert abs(value - 1.0 / (1.1 + 3.0j)) < 1e-12
+
+
+class TestBVSpecs:
+    def test_monotone_without_limit_is_domain_error(self):
+        code, out, err = invoke("product", "--fixture", "gaussian",
+                                "--bv", "monotone:x")
+        assert (code, out) == (1, "")
+        assert "NoLimitAtInfinity" in err
+
+    def test_monotone_wrong_claimed_limits(self):
+        # the limits of atan(x)+2 are 2 -+ pi/2, not 0.4 and 3.5
+        code, out, err = invoke("product", "--fixture", "gaussian",
+                                "--bv", "monotone:atan(x)+2;0.4,3.5")
+        assert (code, out) == (1, "")
+        assert "NoLimitAtInfinity" in err
+
+    def test_monotone_found_limits_agree_with_claimed(self):
+        def value(spec):
+            code, out, _ = invoke("product", "--fixture", "gaussian",
+                                  "--bv", spec)
+            assert code == 0
+            return float(out.strip().splitlines()[1].split(",")[-1])
+        claimed = value(f"monotone:atan(x)+2;{2 - math.pi / 2!r},"
+                        f"{2 + math.pi / 2!r}")
+        # int e^(-x^2)/(1+x^2) dx = pi e erfc(1), with the sign of -F dg
+        assert claimed == pytest.approx(-1.3432934216467352, abs=1e-9)
+        assert value("monotone:atan(x)+2") == pytest.approx(claimed,
+                                                            abs=1e-10)
+
+    @pytest.mark.parametrize("spec", ["indicator:1", "constant:abc",
+                                      "blocks:1,2", "monotone:atan(x);1.0",
+                                      "knots:0,x;1,2", "frobnicate:1"])
+    def test_malformed_spec_is_usage_error(self, spec):
+        code, out, err = invoke("product", "--fixture", "gaussian",
+                                "--bv", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 class TestExitCodes:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cpint.cfun import DEFAULT_TOL, ContinuousFunctionBar
 from cpint.chart import NEG_INF, decompactify_many, u_grid
 from cpint.convergence import fixtures as sequence_fixtures
+from cpint.errors import DomainError
 from cpint.fixtures import (arctan_distribution, gaussian_distribution,
                             quadratic_osc_distribution, random_distribution,
                             si_distribution, signed_bump_distribution)
@@ -35,6 +36,21 @@ class TestCompare:
         F = f.primitive
         assert F(res.witness_below) < 0.0
         assert F(res.witness_above) > 0.0
+
+    @pytest.mark.parametrize("tol", [-1e-10, -1e-300, math.nan])
+    def test_negative_or_nan_tol_rejected(self, tol):
+        # with tol = NaN no difference shows a side, so compare would say
+        # Equal while equal says False
+        f = gaussian_distribution()
+        with pytest.raises(DomainError):
+            compare(f, f, tol)
+        with pytest.raises(DomainError):
+            equal(f, f, tol)
+
+    def test_zero_tol_accepted(self):
+        f = gaussian_distribution()
+        assert compare(f, f, 0.0).order is Order.EQUAL
+        assert equal(f, f, 0.0)
 
     def test_calls_pinned(self):
         # each primitive is read once at each of the grid's 4,095 finite

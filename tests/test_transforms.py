@@ -41,6 +41,14 @@ class TestPoisson:
         assert g(t) == 0.0
         assert g(7.5e153) > 0.0 == g(7.6e153)
 
+    def test_kernel_rejects_overflowing_height(self):
+        # pi y^2 overflows from y of about 7.6e153 on; the kernel read
+        # 0.0 at its peak there
+        assert poisson_kernel_bv(0.0, 7.5e153)(0.0) > 0.0
+        for y in (8e153, 1e200, math.inf):
+            with pytest.raises(DomainError):
+                poisson_kernel_bv(0.0, y)
+
     def test_indicator_closed_form(self):
         f = indicator_distribution()
         for x, y in ((0.0, 1.0), (0.5, 0.3), (-2.0, 2.0)):
@@ -118,6 +126,14 @@ class TestLaplace:
     def test_left_half_plane_rejected(self):
         with pytest.raises(DomainError):
             laplace(exp_decay_distribution(), -1.0 + 0j)
+        with pytest.raises(DomainError):
+            laplace_derivative(exp_decay_distribution(), 0.0, 1)
+
+    def test_transform_is_derivative_of_order_zero(self):
+        fe = exp_decay_distribution()
+        for z in (0.0, 1.0 + 0j, 0.3 + 5.0j, 2.0 - 1.0j):
+            assert laplace(fe, z) == laplace_derivative(fe, z, 0)
+        assert laplace_derivative(fe, 0.0, 0) == complex(fe.total, 0.0)
 
     def test_growth_probe_decreasing(self):
         fe = exp_decay_distribution()
