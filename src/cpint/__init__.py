@@ -15,8 +15,7 @@ from .bv import (BVFunction, Piece, blocks, constant, from_callable,
                  rs_integral, variation)
 from .cfun import (ContinuousFunctionBar, TestFunction, build_continuous,
                    bump, delta_sequence, extremes, sup_norm)
-from .chart import (INF, NEG_INF, compactify, decompactify, format_extended,
-                    parse_extended, uniform_u_grid)
+from .chart import INF, NEG_INF, compactify, decompactify, parse_extended
 from .convergence import (ConvergenceReport, DistributionSequence, Verdict,
                           quasi_uniform_check, strong_distance,
                           theorem_checkers, weak_bv_report, weak_d_report)

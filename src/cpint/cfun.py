@@ -29,6 +29,7 @@ The bumps are C^inf except at their center, where phi' jumps (see
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -136,26 +137,13 @@ class ContinuousFunctionBar:
     # -- pointwise algebra (results inherit continuity; no re-audit) --
 
     def shifted(self, c: float) -> "ContinuousFunctionBar":
-        ev = self.evaluator
-        return ContinuousFunctionBar(
-            _with_many(lambda x: _safe(ev, x) + c,
-                       lambda xs: _many(ev, xs) + c),
-            self.limit_neg + c, self.limit_pos + c)
+        return _pointwise(lambda v: v + c, self)
 
     def scaled(self, a: float) -> "ContinuousFunctionBar":
-        ev = self.evaluator
-        return ContinuousFunctionBar(
-            _with_many(lambda x: a * _safe(ev, x),
-                       lambda xs: a * _many(ev, xs)),
-            a * self.limit_neg, a * self.limit_pos)
+        return _pointwise(lambda v: a * v, self)
 
     def plus(self, other: "ContinuousFunctionBar") -> "ContinuousFunctionBar":
-        ea, eb = self.evaluator, other.evaluator
-        return ContinuousFunctionBar(
-            _with_many(lambda x: _safe(ea, x) + _safe(eb, x),
-                       lambda xs: _many(ea, xs) + _many(eb, xs)),
-            self.limit_neg + other.limit_neg,
-            self.limit_pos + other.limit_pos)
+        return _pointwise(operator.add, self, other)
 
     def translated(self, t: float) -> "ContinuousFunctionBar":
         ev = self.evaluator
@@ -168,35 +156,35 @@ class ContinuousFunctionBar:
     # array forms keep that order, for NaN and signed zeros alike
 
     def pointwise_max(self, other: "ContinuousFunctionBar") -> "ContinuousFunctionBar":
-        ea, eb = self.evaluator, other.evaluator
-
-        def many(xs):
-            p, q = _many(ea, xs), _many(eb, xs)
-            return np.where(q > p, q, p)
-
-        return ContinuousFunctionBar(
-            _with_many(lambda x: max(_safe(ea, x), _safe(eb, x)), many),
-            max(self.limit_neg, other.limit_neg),
-            max(self.limit_pos, other.limit_pos))
+        return _pointwise(max, self, other,
+                          lambda p, q: np.where(q > p, q, p))
 
     def pointwise_min(self, other: "ContinuousFunctionBar") -> "ContinuousFunctionBar":
-        ea, eb = self.evaluator, other.evaluator
-
-        def many(xs):
-            p, q = _many(ea, xs), _many(eb, xs)
-            return np.where(q < p, q, p)
-
-        return ContinuousFunctionBar(
-            _with_many(lambda x: min(_safe(ea, x), _safe(eb, x)), many),
-            min(self.limit_neg, other.limit_neg),
-            min(self.limit_pos, other.limit_pos))
+        return _pointwise(min, self, other,
+                          lambda p, q: np.where(q < p, q, p))
 
     def pointwise_abs(self) -> "ContinuousFunctionBar":
-        ev = self.evaluator
+        return _pointwise(abs, self)
+
+
+def _pointwise(op, F: ContinuousFunctionBar,
+               G: Optional[ContinuousFunctionBar] = None,
+               op_many=None) -> ContinuousFunctionBar:
+    """op applied pointwise to F, or to F and G: op of their guarded
+    values at x, op_many (op where omitted) of their array forms, and op
+    of their limits at each infinity."""
+    op_many = op_many or op
+    ea = F.evaluator
+    if G is None:
         return ContinuousFunctionBar(
-            _with_many(lambda x: abs(_safe(ev, x)),
-                       lambda xs: np.abs(_many(ev, xs))),
-            abs(self.limit_neg), abs(self.limit_pos))
+            _with_many(lambda x: op(_safe(ea, x)),
+                       lambda xs: op_many(_many(ea, xs))),
+            op(F.limit_neg), op(F.limit_pos))
+    eb = G.evaluator
+    return ContinuousFunctionBar(
+        _with_many(lambda x: op(_safe(ea, x), _safe(eb, x)),
+                   lambda xs: op_many(_many(ea, xs), _many(eb, xs))),
+        op(F.limit_neg, G.limit_neg), op(F.limit_pos, G.limit_pos))
 
 
 def _settled(samples, tol: float, limit: Optional[float] = None) -> float:

@@ -49,18 +49,13 @@ def decompactify_many(us: np.ndarray) -> np.ndarray:
     return xs
 
 
-def uniform_u_grid(n: int) -> list[float]:
-    """n equally spaced points in [-1, 1], endpoints included."""
-    if n < 2:
-        raise ValueError("grid needs at least 2 points")
-    step = 2.0 / (n - 1)
-    return [-1.0 + i * step for i in range(n)]
-
-
 @functools.cache
 def u_grid(n: int) -> np.ndarray:
-    """uniform_u_grid(n) as a read-only array, built once per n."""
-    us = np.array(uniform_u_grid(n))
+    """n equally spaced points -1 + i*(2/(n-1)) in [-1, 1], endpoints
+    included, as a read-only array built once per n."""
+    if n < 2:
+        raise ValueError("grid needs at least 2 points")
+    us = -1.0 + np.arange(n) * (2.0 / (n - 1))
     us.flags.writeable = False
     return us
 
@@ -73,14 +68,6 @@ def parse_extended(text: str) -> float:
     if t in ("-inf", "-infinity", "-oo"):
         return NEG_INF
     return float(text)
-
-
-def format_extended(x: float) -> str:
-    if x == INF:
-        return "inf"
-    if x == NEG_INF:
-        return "-inf"
-    return repr(x)
 
 
 # ---------------------------------------------------------------------------

@@ -65,16 +65,16 @@ def _build_distribution(args) -> Distribution:
     return hake_extend(F, tol=args.tol)
 
 
-def _numbers(text: str, count: Optional[int] = None,
-             parse=float) -> list[float]:
-    """The comma-separated numbers of a BV spec, `count` of them where
-    given; anything else is a usage error."""
+def _numbers(text: str, count: Optional[int] = None, parse=float,
+             what: str = "BV spec") -> list[float]:
+    """The comma-separated numbers of `what`, a BV spec or a flag,
+    `count` of them where given; anything else is a usage error."""
     try:
         vals = [parse(s) for s in text.split(",")]
     except ValueError as exc:
-        raise SystemExit(_usage(f"malformed BV spec: {exc}"))
+        raise SystemExit(_usage(f"malformed {what}: {exc}"))
     if count is not None and len(vals) != count:
-        raise SystemExit(_usage(f"malformed BV spec: {text!r} is not "
+        raise SystemExit(_usage(f"malformed {what}: {text!r} is not "
                                 f"{count} numbers"))
     return vals
 
@@ -171,7 +171,7 @@ def _cmd_cov(args) -> int:
 
 def _cmd_taylor(args) -> int:
     top = compile_expr(args.fn_top)
-    coeffs = [float(s) for s in args.coeffs.split(",")]
+    coeffs = _numbers(args.coeffs, what="--coeffs")
     inp = TaylorInput(args.n, args.a, max(args.x, args.a + 1e-12)
                       if args.b is None else args.b, top, coeffs)
     res = taylor_expand(inp, args.x, args.tol)
@@ -215,7 +215,8 @@ def _cmd_converge(args) -> int:
     if args.params:
         for chunk in args.params.split(","):
             k, _, v = chunk.partition("=")
-            params[k.strip()] = float(v)
+            params[k.strip()] = _numbers(v, 1,
+                                         what=f"--params {chunk!r}")[0]
     seq = convergence.fixtures(args.fixture, params)
     modes = [m.strip() for m in args.modes.split(",")]
     from .space import zero

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cpint import bv
 from cpint.bv import (BVFunction, Piece, blocks, constant, from_callable,
                       from_knots, heaviside, indicator, monotone,
                       normalize_nbv, rs_integral, variation)
@@ -80,6 +81,47 @@ class TestPointValuesAndLimits:
                        point_values={0.0: 5.0})
         assert variation(g) == 10.0
         assert variation(normalize_nbv(g)) == 0.0
+
+    @pytest.mark.parametrize("lo,hi", [(-1.0, 2.0), (NEG_INF, 2.0),
+                                       (-1.0, INF), (NEG_INF, INF)])
+    def test_piece_ends_read_the_stored_limits(self, lo, hi):
+        # fn agrees with neither stored limit, so only the clamp gives
+        # them back, at, below and above each end, without calling fn
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return 10.0 + x
+
+        p = Piece(lo, hi, fn, -7.0, 7.5)
+        for x in (lo, math.nextafter(lo, NEG_INF), lo - 1.0, NEG_INF):
+            assert p.value(x) == -7.0
+        for x in (hi, math.nextafter(hi, INF), hi + 1.0, INF):
+            assert p.value(x) == 7.5
+        assert seen == []
+        assert p.value(0.5) == 10.5 and seen == [0.5]
+
+    def test_limits_and_stieltjes_ends_read_the_stored_limits(self):
+        # one-sided limits at the breakpoints and at +-inf, and the
+        # Stieltjes ends of each piece, are the stored limits; against
+        # F = 1 the integral is the sum of the jumps and the rises
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return 10.0 + x
+
+        g = BVFunction([Piece(NEG_INF, -1.0, fn, -3.0, -2.0),
+                        Piece(-1.0, 2.0, fn, -1.0, 1.0),
+                        Piece(2.0, INF, fn, 4.0, 5.0)])
+        assert [g.left_limit(x) for x in (-1.0, 2.0, INF)] == [-2.0, 1.0, 5.0]
+        assert [g.right_limit(x) for x in (NEG_INF, -1.0, 2.0)] == [
+            -3.0, -1.0, 4.0]
+        assert seen == []
+        one = ContinuousFunctionBar(lambda x: 1.0, 1.0, 1.0)
+        assert rs_integral(one, g, NEG_INF, INF) == 8.0
+        assert rs_integral(one, g, -1.0, 2.0) == 5.0
+        assert rs_integral(one, g, -0.5, 0.5) == 1.0
 
     def test_malformed_pieces_rejected(self):
         with pytest.raises(MalformedPieces):
@@ -259,6 +301,29 @@ class TestRsIntegral:
         L = (math.log(1e10) + 50.0) / r
         assert rs_integral(quintic, g, 0.0, L) == pytest.approx(
             120.0 / r ** 5, rel=1e-12)
+
+    def test_segment_cap_stops_a_stalled_run(self, monkeypatch):
+        # int F d(-e^(-0.01 t)) on [0, inf] for F = x^5/(1 + (x/1e4)^5)
+        # never reaches its goal: at the full cap it raises after 15.7M
+        # F calls, on x near 886.  The cap, lowered here, raises the same
+        # typed error; the call guard fails the test if it never comes
+        monkeypatch.setattr(bv, "_RS_SEGMENT_CAP", 20_000)
+        calls = 0
+
+        def quintic(x):
+            nonlocal calls
+            calls += 1
+            if calls > 2_000_000:
+                raise RuntimeError("segment cap never reached")
+            return x ** 5 / (1.0 + (x / 1e4) ** 5)
+
+        F = ContinuousFunctionBar(quintic, 1e20, 1e20)
+        g = monotone(lambda t: -math.exp(-0.01 * t), NEG_INF, 0.0)
+        with pytest.raises(BudgetExceeded, match="segment cap") as info:
+            rs_integral(F, g, 0.0, INF)
+        lo, hi = (float(v) for v in re.search(
+            r"x in \[([^,]+), ([^\]]+)\]", str(info.value)).groups())
+        assert 0.0 < lo <= hi < INF
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-12], ids=["default", "fine"])
     def test_error_sum_reaches_goal(self, tol):

@@ -10,7 +10,7 @@ from cpint.cfun import (_AUDIT_GRID, _DEPTH_CAP, _INTERVAL_GRID,
                         _tail_limit,
                         audit_on_interval, build_continuous, bump,
                         delta_sequence, extremes, sup_norm)
-from cpint.chart import decompactify, u_grid, uniform_u_grid
+from cpint.chart import decompactify, u_grid
 from cpint.errors import NoLimitAtInfinity, NotContinuous
 from cpint.space import distribution_from_evaluator, hake_extend
 
@@ -224,6 +224,43 @@ class TestArrayForms:
                     assert (_bits(H.at_u_many(us)) == _bits(
                         [H.at_u(u) for u in us.tolist()])).all(), name
 
+    def test_pointwise_limits_bit_for_bit(self):
+        # each operation's limits are its scalar op of the operands'
+        # limits, written out here: max keeps p unless q > p, min unless
+        # q < p, so the signed zeros of Z and N keep their order
+        from cpint.quadrature import hake_from_integrand
+        A = ContinuousFunctionBar(math.atan, -math.pi / 2, math.pi / 2)
+        P = ContinuousFunctionBar(_patchy, -0.0, 0.0)
+        Z = ContinuousFunctionBar(lambda x: 0.0, 0.0, 0.0)
+        N = ContinuousFunctionBar(lambda x: -0.0, -0.0, -0.0)
+        T = hake_from_integrand(
+            lambda x: math.exp(-x * x)).distribution.primitive
+        unary = [
+            (lambda f: f.shifted(-0.0), lambda p: p + -0.0),
+            (lambda f: f.shifted(2.0), lambda p: p + 2.0),
+            (lambda f: f.scaled(-1.5), lambda p: -1.5 * p),
+            (lambda f: f.scaled(0.0), lambda p: 0.0 * p),
+            (lambda f: f.pointwise_abs(), math.fabs),
+            (lambda f: f.translated(1.25), lambda p: p),
+        ]
+        binary = [
+            (lambda f, g: f.plus(g), lambda p, q: p + q),
+            (lambda f, g: f.pointwise_max(g), lambda p, q: q if q > p else p),
+            (lambda f, g: f.pointwise_min(g), lambda p, q: q if q < p else p),
+        ]
+        operands = [A, P, Z, N, T]
+        for f in operands:
+            for lift, op in unary:
+                H = lift(f)
+                assert _bits([H.limit_neg, H.limit_pos]).tolist() == _bits(
+                    [op(f.limit_neg), op(f.limit_pos)]).tolist()
+            for g in operands:
+                for lift, op in binary:
+                    H = lift(f, g)
+                    assert _bits([H.limit_neg, H.limit_pos]).tolist() == (
+                        _bits([op(f.limit_neg, g.limit_neg),
+                               op(f.limit_pos, g.limit_pos)]).tolist())
+
     def test_nested_composition_bit_for_bit(self):
         A = ContinuousFunctionBar(math.atan, -math.pi / 2, math.pi / 2)
         P = ContinuousFunctionBar(_patchy, -0.0, 0.0)
@@ -286,7 +323,7 @@ def _ramp(x: float) -> float:
 
 def _nan_cell(i: int):
     """x-interval around the midpoint of audit cell i, clear of its ends."""
-    grid = uniform_u_grid(_AUDIT_GRID)
+    grid = u_grid(_AUDIT_GRID).tolist()
     q = 0.25 * (grid[i + 1] - grid[i])
     um = 0.5 * (grid[i] + grid[i + 1])
     return decompactify(um - q), decompactify(um + q)
@@ -299,7 +336,8 @@ class TestLockstepAudit:
         ref_ev, ref_seen = _counted(_ramp)
         F = ContinuousFunctionBar(ref_ev, _tail_limit(ref_ev, -1, DEFAULT_TOL),
                                   _tail_limit(ref_ev, +1, DEFAULT_TOL))
-        _reference_audit(F.at_u, uniform_u_grid(_AUDIT_GRID), DEFAULT_TOL)
+        _reference_audit(F.at_u, u_grid(_AUDIT_GRID).tolist(),
+                         DEFAULT_TOL)
         assert len(seen) == len(ref_seen) > 10 * _AUDIT_GRID
         assert sorted(seen) == sorted(ref_seen)
 
@@ -354,7 +392,7 @@ class TestLockstepAudit:
             build_continuous(fn, *limits)
         with pytest.raises(NotContinuous) as ref:
             _reference_audit(ContinuousFunctionBar(fn, *limits).at_u,
-                             uniform_u_grid(_AUDIT_GRID), DEFAULT_TOL)
+                             u_grid(_AUDIT_GRID).tolist(), DEFAULT_TOL)
         assert str(lib.value) == str(ref.value)
         assert lib.value.where == ref.value.where
         assert ("undefined" in str(lib.value)) == (case == "nan_in_cell")

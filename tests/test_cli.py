@@ -200,3 +200,17 @@ class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):
         code, _, _ = invoke("frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("taylor", "--fn-top", "cos(x)", "--coeffs", "0,x", "--a", "0",
+          "--x", "0.5", "--n", "1"), "--coeffs"),
+        (("converge", "--fixture", "traveling_block", "--params", "n=abc"),
+         "--params"),
+        (("converge", "--fixture", "traveling_block", "--params", "abc"),
+         "--params"),
+    ], ids=["taylor-coeffs", "converge-value", "converge-no-equals"])
+    def test_malformed_number_flag_is_usage_error(self, argv, flag):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: malformed {flag}")
+        assert err.count("\n") == 1

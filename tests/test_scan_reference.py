@@ -15,7 +15,7 @@ import pytest
 
 from cpint.cfun import DEFAULT_TOL, ContinuousFunctionBar
 from cpint.chart import (decompactify_many, golden_max, illinois_zero,
-                         scan_root, uniform_u_grid)
+                         scan_root, u_grid)
 from cpint.fixtures import random_distribution
 from cpint.lattice import LatticeKind, Order, compare, lattice_op
 from cpint.space import Distribution, equal, linear_combine, zero
@@ -23,8 +23,8 @@ from cpint.space import Distribution, equal, linear_combine, zero
 
 # -- the reference: walks of the grid, one point at a time ------------------
 
-_COMPARE_XS = tuple(decompactify_many(np.array(uniform_u_grid(4097))).tolist())
-_EQUALITY_XS = tuple(decompactify_many(np.array(uniform_u_grid(1025))).tolist())
+_COMPARE_XS = tuple(decompactify_many(u_grid(4097)).tolist())
+_EQUALITY_XS = tuple(decompactify_many(u_grid(1025)).tolist())
 
 
 def ref_compare(f, g, tol=DEFAULT_TOL):
@@ -233,7 +233,7 @@ def _polynomial(rng):
 def test_random_polynomials_match_reference(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.choice([3, 11, 64, 257, 4097]))
-    grid = uniform_u_grid(n)
+    grid = u_grid(n).tolist()
     tol = float(rng.choice([0.0, 1e-12, DEFAULT_TOL, 1e-4]))
     _check_scan_root(_polynomial(rng), grid, tol)
 
@@ -269,11 +269,11 @@ def test_nan_value(nan, where):
 @pytest.mark.parametrize("root", [0.123456789, -0.5, 0.9999])
 def test_triple_zero(root):
     fn = lambda t: (t - root) ** 3
-    got, _ = _check_scan_root(fn, uniform_u_grid(4097), 0.0)
+    got, _ = _check_scan_root(fn, u_grid(4097).tolist(), 0.0)
     assert got == pytest.approx(root, abs=1e-5)
 
 
 def test_grid_point_within_tol_and_no_root():
-    grid = uniform_u_grid(257)
+    grid = u_grid(257).tolist()
     assert _check_scan_root(lambda t: t - 0.5 + 1e-12, grid, 1e-10)[0] == 0.5
     assert _check_scan_root(lambda t: 2.0 + t, grid, 0.0) == (None, [])
