@@ -17,10 +17,19 @@ Array evaluation: an evaluator may carry an array form as its attribute
 of values, equal bit for bit to the scalar calls.  ``eval_many`` and
 ``at_u_many`` use it, and fall back to one loop of guarded scalar calls
 on Python floats for an evaluator without one.  The pointwise algebra
-composes the array forms of its operands.  :func:`extremes` reads one
-such array of its grid and finds the grid's local maxima by array
-comparisons; only the golden refinement of the top cells calls the
-evaluator one point at a time.
+composes the array forms of its operands.
+
+Grid tables: every fixed-grid reader (the audit's first level,
+:func:`extremes`, ``space.equal``, ``lattice.compare`` and
+``products.second_mvt_xi``) reads F on a chart grid ``u_grid(n)`` through
+``F.on_grid(n)``, which keeps the table of F's values on the finest grid
+read so far.  These grids nest, so each grid point of F is evaluated
+once, and a pointwise result lifts its operands' tables instead of
+calling an evaluator.  The tables rely on the evaluator being a
+function: the same x gives the same value.  :func:`extremes` finds the
+grid's local maxima by array comparisons; only the golden refinement of
+the top cells calls the evaluator one point at a time, and the (sup,
+inf) it finds is kept on F too.
 
 The bumps are C^inf except at their center, where phi' jumps (see
 :class:`TestFunction`); ``pair_with_test`` splits them there.
@@ -89,12 +98,20 @@ class ContinuousFunctionBar:
     """An element of C0 of the extended real line.
 
     The evaluator is only consulted at finite arguments; the stored
-    limits are the values at -inf and +inf.
+    limits are the values at -inf and +inf.  The evaluator must be a
+    function, the same x giving the same value: F keeps its grid table
+    (see on_grid) and its extremes, outside the dataclass fields, so ==,
+    hash and repr do not see them.
     """
 
     evaluator: Callable[[float], float]
     limit_neg: float
     limit_pos: float
+    # not fields: the finest grid table read, the (op_many, operands) a
+    # pointwise result lifts its tables from, and extremes' (sup, inf)
+    _table = None
+    _lift = None
+    _extremes = None
 
     def __call__(self, x: float) -> float:
         if x == INF:
@@ -134,6 +151,34 @@ class ContinuousFunctionBar:
         """at_u at each u of a float array, bit for bit."""
         return self.eval_many(decompactify_many(np.asarray(us, dtype=float)))
 
+    def on_grid(self, n: int) -> np.ndarray:
+        """at_u_many(u_grid(n)), bit for bit, as a read-only array, for
+        n - 1 a power of two.  These grids nest: u_grid(n) is every k-th
+        point of u_grid(k*(n-1) + 1).  Only the finest table read is
+        kept; a coarser grid is a stride view of it, and a finer one
+        evaluates only the points it does not hold.  A pointwise result
+        evaluates nothing: its table is op_many of its operands'."""
+        if n < 2 or (n - 1) & (n - 2):
+            raise ValueError(f"grid table needs n - 1 a power of two, got {n}")
+        held = self._table
+        if held is not None and len(held) >= n:
+            return held[::(len(held) - 1) // (n - 1)]
+        if self._lift is not None:
+            op_many, operands = self._lift
+            with np.errstate(all="ignore"):
+                vals = op_many(*(H.on_grid(n) for H in operands))
+        elif held is None:
+            vals = self.at_u_many(u_grid(n))
+        else:
+            step = (n - 1) // (len(held) - 1)
+            new = np.arange(n) % step != 0
+            vals = np.empty(n)
+            vals[::step] = held
+            vals[new] = self.at_u_many(u_grid(n)[new])
+        vals.flags.writeable = False
+        object.__setattr__(self, "_table", vals)
+        return vals
+
     # -- pointwise algebra (results inherit continuity; no re-audit) --
 
     def shifted(self, c: float) -> "ContinuousFunctionBar":
@@ -171,20 +216,23 @@ def _pointwise(op, F: ContinuousFunctionBar,
                G: Optional[ContinuousFunctionBar] = None,
                op_many=None) -> ContinuousFunctionBar:
     """op applied pointwise to F, or to F and G: op of their guarded
-    values at x, op_many (op where omitted) of their array forms, and op
-    of their limits at each infinity."""
+    values at x, op_many (op where omitted) of their array forms and of
+    their grid tables, and op of their limits at each infinity."""
     op_many = op_many or op
     ea = F.evaluator
     if G is None:
-        return ContinuousFunctionBar(
+        R = ContinuousFunctionBar(
             _with_many(lambda x: op(_safe(ea, x)),
                        lambda xs: op_many(_many(ea, xs))),
             op(F.limit_neg), op(F.limit_pos))
-    eb = G.evaluator
-    return ContinuousFunctionBar(
-        _with_many(lambda x: op(_safe(ea, x), _safe(eb, x)),
-                   lambda xs: op_many(_many(ea, xs), _many(eb, xs))),
-        op(F.limit_neg, G.limit_neg), op(F.limit_pos, G.limit_pos))
+    else:
+        eb = G.evaluator
+        R = ContinuousFunctionBar(
+            _with_many(lambda x: op(_safe(ea, x), _safe(eb, x)),
+                       lambda xs: op_many(_many(ea, xs), _many(eb, xs))),
+            op(F.limit_neg, G.limit_neg), op(F.limit_pos, G.limit_pos))
+    object.__setattr__(R, "_lift", (op_many, (F,) if G is None else (F, G)))
+    return R
 
 
 def _settled(samples, tol: float, limit: Optional[float] = None) -> float:
@@ -211,10 +259,10 @@ def _tail_limit(evaluator, sign: int, tol: float,
 
 
 def _audit_grid(feval_many, grid: np.ndarray, tol: float,
-                coord=decompactify) -> None:
-    """Oscillation audit: evaluate the grid in one call, then descend into
-    every cell at once, one call of feval_many per level for the
-    midpoints of all unsettled cells.
+                coord=decompactify, vals: Optional[np.ndarray] = None) -> None:
+    """Oscillation audit: evaluate the grid in one call, unless its
+    values vals are given, then descend into every cell at once, one call
+    of feval_many per level for the midpoints of all unsettled cells.
 
     A cell settles when the oscillation over its ends and midpoint is
     within tol, floored at _ROUNDOFF of the largest |grid value|; else it
@@ -227,7 +275,8 @@ def _audit_grid(feval_many, grid: np.ndarray, tol: float,
     pass would; the cells right of a failure are dropped from the next
     level on.  `coord` maps the audit coordinate back to x for error
     reporting."""
-    vals = feval_many(grid)
+    if vals is None:
+        vals = feval_many(grid)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         x = coord(float(grid[bad[0]]))
@@ -309,7 +358,8 @@ def build_continuous(evaluator: Callable[[float], float],
     limit_pos = _tail_limit(evaluator, +1, tol, limit_pos)
     limit_neg = _tail_limit(evaluator, -1, tol, limit_neg)
     F = ContinuousFunctionBar(evaluator, limit_neg, limit_pos)
-    _audit_grid(F.at_u_many, u_grid(_AUDIT_GRID), tol)
+    _audit_grid(F.at_u_many, u_grid(_AUDIT_GRID), tol,
+                vals=F.on_grid(_AUDIT_GRID))
     return F
 
 
@@ -317,15 +367,22 @@ def extremes(F: ContinuousFunctionBar) -> tuple[float, float]:
     """(sup, inf) of F over the extended real line.
 
     Grid scan in the compact chart, then golden refinement of the best
-    cells around the surviving local extrema.
+    cells around the surviving local extrema.  The result is kept on F,
+    so a later call scans nothing.  A NaN on the grid raises
+    BudgetExceeded naming the x of the first, and keeps nothing.
     """
-    us = u_grid(_EXTREMES_GRID)
-    vals = F.at_u_many(us)
-    if np.isnan(vals).any():
-        raise BudgetExceeded("evaluator undefined inside extremes scan")
-    sup = scan_max(F.at_u, us, vals, _EXTREMES_REFINE)
-    inf = -scan_max(lambda u: -F.at_u(u), us, -vals, _EXTREMES_REFINE)
-    return sup, inf
+    if F._extremes is None:
+        us = u_grid(_EXTREMES_GRID)
+        vals = F.on_grid(_EXTREMES_GRID)
+        bad = np.flatnonzero(np.isnan(vals))
+        if bad.size:
+            x = decompactify(float(us[bad[0]]))
+            raise BudgetExceeded(
+                f"evaluator undefined at x={x!r} inside extremes scan")
+        sup = scan_max(F.at_u, us, vals, _EXTREMES_REFINE)
+        inf = -scan_max(lambda u: -F.at_u(u), us, -vals, _EXTREMES_REFINE)
+        object.__setattr__(F, "_extremes", (sup, inf))
+    return F._extremes
 
 
 def sup_norm(F: ContinuousFunctionBar) -> float:

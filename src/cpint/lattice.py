@@ -65,7 +65,8 @@ def compare(f: Distribution, g: Distribution,
         raise DomainError(f"compare needs tol >= 0, got {tol!r}")
     us = u_grid(_COMPARE_GRID)
     with np.errstate(all="ignore"):
-        d = f.primitive.at_u_many(us) - g.primitive.at_u_many(us)
+        d = (f.primitive.on_grid(_COMPARE_GRID)
+             - g.primitive.on_grid(_COMPARE_GRID))
     below, above = (decompactify(float(us[side.argmax()])) if side.any()
                     else None for side in (d < -tol, d > tol))
     return OrderResult(_ORDERS[below is not None, above is not None],

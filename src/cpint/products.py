@@ -145,9 +145,8 @@ def second_mvt_xi(f: Distribution, g: BVFunction,
     def residual(x: float) -> float:
         return ga * F(x) + gb * (F.limit_pos - F(x)) - total
 
-    us = u_grid(4097)
-    u = scan_root(lambda t: F.at_u(t) - target, us, F.at_u_many(us) - target,
-                  tol)
+    u = scan_root(lambda t: F.at_u(t) - target, u_grid(4097),
+                  F.on_grid(4097) - target, tol)
     if u is None:
         raise ResidualTooLarge("no xi found: engine inconsistency")
     xi = decompactify(u)

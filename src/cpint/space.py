@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .chart import u_grid
 from .cfun import (DEFAULT_TOL, ContinuousFunctionBar, build_continuous,
                    extremes, sup_norm, _with_many)
 from .errors import DomainError, IntervalEmpty
@@ -124,9 +123,9 @@ def equal(f: Distribution, g: Distribution,
     NaN tol raises DomainError."""
     if not tol >= 0.0:
         raise DomainError(f"equal needs tol >= 0, got {tol!r}")
-    us = u_grid(_EQUALITY_GRID)
     with np.errstate(all="ignore"):
-        d = f.primitive.at_u_many(us) - g.primitive.at_u_many(us)
+        d = (f.primitive.on_grid(_EQUALITY_GRID)
+             - g.primitive.on_grid(_EQUALITY_GRID))
     return bool(np.all(np.abs(d) <= tol))
 
 

@@ -3,7 +3,8 @@
 Each test runs one criterion end to end at its stated tolerance and
 prints a single PASS/FAIL line with the measured detail, so a bare
 ``pytest -v tests/test_acceptance.py`` doubles as the release report.
-The full gate takes about 20 s, most of it criterion 6; run it last.
+The full gate takes about 7 s on a 2-core x86-64 machine, 4.4 s of it
+criterion 6; run it last.
 """
 
 import pytest

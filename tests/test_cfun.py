@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from cpint.cfun import (_AUDIT_GRID, _DEPTH_CAP, _INTERVAL_GRID,
                         _tail_limit,
                         audit_on_interval, build_continuous, bump,
                         delta_sequence, extremes, sup_norm)
-from cpint.chart import decompactify, u_grid
-from cpint.errors import NoLimitAtInfinity, NotContinuous
+from cpint.chart import decompactify, decompactify_many, u_grid
+from cpint.errors import BudgetExceeded, NoLimitAtInfinity, NotContinuous
 from cpint.space import distribution_from_evaluator, hake_extend
 
 
@@ -429,3 +431,140 @@ class TestLockstepAudit:
         with pytest.raises(NotContinuous):
             build_continuous(lambda x: 1.0 + (2e-10 if x >= 0.3 else 0.0),
                              1.0, 1.0 + 2e-10)
+
+
+# ---------------------------------------------------------------------------
+# grid tables
+
+
+_TABLE_GRIDS = (1025, 4097, 8193)
+
+
+class TestGridTables:
+    @pytest.mark.parametrize("order", list(itertools.permutations(_TABLE_GRIDS)))
+    def test_table_is_array_read_in_any_order(self, order):
+        # each read equals the array read of its grid bit for bit; a
+        # finer read evaluates only the finite points not held, once
+        # each, and a coarser or repeated read evaluates nothing
+        ref = ContinuousFunctionBar(_patchy, -0.0, 0.5)
+        ev, seen = _counted(_patchy)
+        F = ContinuousFunctionBar(ev, -0.0, 0.5)
+        finest = 0
+        for n in order + order:
+            before = len(seen)
+            table = F.on_grid(n)
+            assert (_bits(table) == _bits(ref.at_u_many(u_grid(n)))).all()
+            new = max(n - finest, 0) if finest else n - 2
+            assert len(seen) - before == new
+            finest = max(finest, n)
+        assert len(seen) == len(set(seen)) == max(order) - 2
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(_TABLE_GRIDS)))
+    def test_array_form_table_in_any_order(self, order):
+        # a table primitive's array form, read on part of a grid, gives
+        # the bits it gives on the whole grid
+        from cpint.quadrature import hake_from_integrand
+        T = hake_from_integrand(
+            lambda x: math.exp(-x * x)).distribution.primitive
+        F = ContinuousFunctionBar(T.evaluator, T.limit_neg, T.limit_pos)
+        for n in order:
+            assert (_bits(F.on_grid(n))
+                    == _bits(T.at_u_many(u_grid(n)))).all()
+
+    def test_tables_are_read_only(self):
+        F = ContinuousFunctionBar(math.atan, -math.pi / 2, math.pi / 2)
+        for n in (4097, 8193, 1025):
+            table = F.on_grid(n)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[1] = 0.0
+
+    def test_table_kept_off_the_fields(self):
+        F = ContinuousFunctionBar(math.atan, -math.pi / 2, math.pi / 2)
+        G = ContinuousFunctionBar(math.atan, -math.pi / 2, math.pi / 2)
+        text, code = repr(F), hash(F)
+        F.on_grid(1025)
+        extremes(F)
+        assert F == G and hash(F) == code and repr(F) == text
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 1000, 1024])
+    def test_non_nesting_grid_rejected(self, n):
+        F = ContinuousFunctionBar(math.atan, -math.pi / 2, math.pi / 2)
+        with pytest.raises(ValueError, match="power of two"):
+            F.on_grid(n)
+
+    def test_lifted_table_is_lifted_array_read(self):
+        # NaN, signed zeros and the limits at u = +-1 come through the
+        # lift as through the lifted evaluator's array form, and reading
+        # the result calls no evaluator once the operands hold the grid
+        ev_p, seen_p = _counted(_patchy)
+        ev_n, seen_n = _counted(lambda x: -0.0 if x < 0.5 else math.atan(x))
+        P = ContinuousFunctionBar(ev_p, -0.0, 0.0)
+        N = ContinuousFunctionBar(ev_n, 0.0, math.nan)
+        lifts = [
+            lambda f, g: f.shifted(-0.0),
+            lambda f, g: f.scaled(-1.5),
+            lambda f, g: f.scaled(0.0).plus(g),
+            lambda f, g: f.pointwise_max(g),
+            lambda f, g: f.pointwise_min(g),
+            lambda f, g: f.pointwise_abs().pointwise_max(g.scaled(-1.0)),
+        ]
+        for n in _TABLE_GRIDS:
+            P.on_grid(n), N.on_grid(n)
+            for f, g in ((P, N), (N, P)):
+                for lift in lifts:
+                    before = len(seen_p), len(seen_n)
+                    table = lift(f, g).on_grid(n)
+                    assert (len(seen_p), len(seen_n)) == before
+                    ref = lift(f, g).at_u_many(u_grid(n))
+                    assert (_bits(table) == _bits(ref)).all()
+                    assert not table.flags.writeable
+
+    def test_translated_evaluates(self):
+        ev, seen = _counted(math.atan)
+        F = ContinuousFunctionBar(ev, -math.pi / 2, math.pi / 2)
+        F.on_grid(1025)
+        del seen[:]
+        T = F.translated(0.75)
+        table = T.on_grid(1025)
+        xs = decompactify_many(u_grid(1025))[1:-1] - 0.75
+        assert seen == xs.tolist()
+        assert (_bits(table) == _bits(T.at_u_many(u_grid(1025)))).all()
+
+    def test_audit_fills_the_table(self):
+        ev, seen = _counted(math.atan)
+        F = build_continuous(ev, -math.pi / 2, math.pi / 2)
+        del seen[:]
+        F.on_grid(_AUDIT_GRID)
+        assert seen == []
+
+    def test_extremes_kept(self):
+        ev, seen = _counted(lambda x: math.sin(x) * math.exp(-x * x))
+        F = ContinuousFunctionBar(ev, 0.0, 0.0)
+        got = extremes(F)
+        del seen[:]
+        assert extremes(F) == got
+        assert sup_norm(F) == max(abs(v) for v in got)
+        assert seen == []
+
+    @pytest.mark.parametrize("limit_pos", [0.0, math.nan])
+    def test_extremes_names_first_undefined_point(self, limit_pos):
+        # _patchy is NaN from x = 1 on for a while; with a NaN limit at
+        # +inf it is still the first NaN from -inf up.  The error keeps
+        # nothing: a second call raises again
+        us = u_grid(8193)
+        vals = ContinuousFunctionBar(_patchy, -0.0, limit_pos).at_u_many(us)
+        x = decompactify(float(us[np.flatnonzero(np.isnan(vals))[0]]))
+        assert 1.0 < x < 1.01
+        F = ContinuousFunctionBar(_patchy, -0.0, limit_pos)
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded,
+                               match=re.escape(f"undefined at x={x!r}")):
+                extremes(F)
+        with pytest.raises(BudgetExceeded, match=re.escape(f"x={x!r}")):
+            sup_norm(F)
+
+    def test_extremes_names_undefined_limit(self):
+        F = ContinuousFunctionBar(math.atan, -math.pi / 2, math.nan)
+        with pytest.raises(BudgetExceeded, match="undefined at x=inf"):
+            extremes(F)

@@ -77,6 +77,65 @@ class TestCompare:
         assert seen == xs + xs
 
 
+class TestTableReuse:
+    @staticmethod
+    def _pair(seen):
+        def counted(fn, lim):
+            def ev(x):
+                seen.append(x)
+                return fn(x)
+            return Distribution(ContinuousFunctionBar(ev, 0.0, lim))
+        f = counted(lambda x: math.atan(x) + math.pi / 2
+                    + math.sin(x) * math.exp(-x * x), math.pi)
+        h = counted(lambda x: 2.0 * math.exp(-(x + 1.0) ** 2), 0.0)
+        return f, h
+
+    @staticmethod
+    def _questions(f, h):
+        # the lattice questions of the selftest: dominance, translation
+        # compatibility and the modular identity, on pointwise results
+        join = lattice_op(f, h, LatticeKind.JOIN)
+        meet = lattice_op(f, h, LatticeKind.MEET)
+        return (compare(f, join), compare(meet, f),
+                compare(linear_combine(1.0, f, h),
+                        linear_combine(1.0, join, h)),
+                equal(linear_combine(1.0, join, meet),
+                      linear_combine(1.0, f, h)))
+
+    def test_pointwise_results_read_their_operands_tables(self):
+        seen = []
+        f, h = self._pair(seen)
+        first = compare(f, h)
+        assert len(seen) == 2 * 4095
+        del seen[:]
+        got = self._questions(f, h)
+        assert seen == []
+        # the same answers as operands that hold no table
+        fresh = self._pair([])
+        assert compare(*fresh) == first
+        assert self._questions(*fresh) == got
+        assert first.order is Order.INCOMPARABLE
+        assert [r.order for r in got[:3]] == [Order.LESS_OR_EQUAL] * 3
+        assert got[3] is True
+
+    def test_parts_lift_the_finest_table(self):
+        # the parts' norms read f's grid points once each: a held
+        # 4,097-point table saves its 4,095 finite points, a held
+        # 8,193-point one all 8,191, and the norms are the same
+        def calls(held):
+            seen = []
+            f, _ = self._pair(seen)
+            if held:
+                f.primitive.on_grid(held)
+            del seen[:]
+            norms = [norm(part) for part in parts(f)]
+            return len(seen), norms
+        cold, after_compare, after_norm = calls(0), calls(4097), calls(8193)
+        assert cold[0] - after_compare[0] == 4095
+        assert cold[0] - after_norm[0] == 8191
+        assert cold[1] == after_compare[1] == after_norm[1]
+
+
 class TestLatticeOps:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpint.cfun import ContinuousFunctionBar
+from cpint.cfun import ContinuousFunctionBar, extremes
 from cpint.chart import INF, NEG_INF, decompactify_many, u_grid
 from cpint.errors import IntervalEmpty, NoLimitAtInfinity
 from cpint.fixtures import (arctan_distribution, gaussian_distribution,
@@ -61,6 +61,24 @@ class TestNorms:
     def test_zero_norm_only_for_zero(self):
         assert norm(zero()) == 0.0
         assert norm(gaussian_distribution()) > 0.0
+
+    def test_three_norms_cost_one_extremes(self):
+        # the three kinds read one (sup, inf), kept on the primitive:
+        # together they make exactly the calls of one extremes scan
+        seen = []
+
+        def bump():
+            def ev(x):
+                seen.append(x)
+                return math.sin(x) * math.exp(-x * x)
+            return Distribution(ContinuousFunctionBar(ev, 0.0, 0.0))
+        hi, lo = extremes(bump().primitive)
+        one_scan = list(seen)
+        del seen[:]
+        f = bump()
+        got = [norm(f, kind) for kind in NormKind]
+        assert seen == one_scan
+        assert got == [max(abs(hi), abs(lo)), hi - lo, max(hi, -lo)]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
