@@ -384,7 +384,8 @@ def _panel(F, G, x_of, ua, left, ub, right):
     return value, err, abs(value), (float(fm), float(gm))
 
 
-def _refine(segments, tol: float, what: str, cap: float = math.inf):
+def _refine(segments, tol: float, what: str, cap: float = math.inf,
+            first=None):
     """Worst-first bisection, the one adaptive integration loop: of
     rs_integral and of both tables of quadrature.hake_from_integrand.
 
@@ -392,11 +393,14 @@ def _refine(segments, tol: float, what: str, cap: float = math.inf):
     at x_of(u); rule(lo, left, hi, right) is None where the segment adds
     nothing, else its value, error estimate, scale (magnitude, for the
     roundoff floor) and the state at its midpoint, which left and right
-    carry at the ends.  The worst segment is bisected until the estimates
-    sum to _goal(tol, summed scales).  A non-finite estimate or scale, a
-    segment bisected _DEPTH_CAP times, or more than cap segments raises
-    BudgetExceeded on x in [x_of(lo), x_of(hi)].  Returns the final
-    (lo, hi, value), unordered, and their summed estimate."""
+    carry at the ends.  A caller that has already run the rule on the
+    given segments passes its outputs as first, and the loop continues
+    from them: no segment is evaluated twice.  The worst segment is
+    bisected until the estimates sum to _goal(tol, summed scales).  A
+    non-finite estimate or scale, a segment bisected _DEPTH_CAP times,
+    or more than cap segments raises BudgetExceeded on x in
+    [x_of(lo), x_of(hi)].  Returns the final (lo, hi, value), unordered,
+    and their summed estimate."""
     heap = []
     serial = count()
 
@@ -405,8 +409,7 @@ def _refine(segments, tol: float, what: str, cap: float = math.inf):
             f"{what} {reason} after {next(serial)} panels on x in "
             f"[{x_of(lo)!r}, {x_of(hi)!r}]")
 
-    def push(rule, x_of, depth, lo, left, hi, right) -> float:
-        out = rule(lo, left, hi, right)
+    def push(rule, x_of, depth, lo, left, hi, right, out) -> float:
         if out is None:
             return 0.0
         value, err, scale, mid = out
@@ -417,8 +420,9 @@ def _refine(segments, tol: float, what: str, cap: float = math.inf):
         return err
 
     err_sum = 0.0
-    for rule, x_of, lo, left, hi, right in segments:
-        err_sum += push(rule, x_of, 0, lo, left, hi, right)
+    for i, (rule, x_of, lo, left, hi, right) in enumerate(segments):
+        out = rule(lo, left, hi, right) if first is None else first[i]
+        err_sum += push(rule, x_of, 0, lo, left, hi, right, out)
     goal = _goal(tol, 0.0)
     while heap:
         # the running sum drifts by roundoff of the largest estimates it
@@ -437,8 +441,10 @@ def _refine(segments, tol: float, what: str, cap: float = math.inf):
         if n >= cap:
             fail("segment cap reached", x_of, lo, hi)
         m = 0.5 * (lo + hi)
-        err_sum += (neg_err + push(rule, x_of, depth + 1, lo, left, m, mid)
-                    + push(rule, x_of, depth + 1, m, mid, hi, right))
+        err_sum += (neg_err + push(rule, x_of, depth + 1, lo, left, m, mid,
+                                   rule(lo, left, m, mid))
+                    + push(rule, x_of, depth + 1, m, mid, hi, right,
+                           rule(m, mid, hi, right)))
     return [(p[7], p[10], p[2]) for p in heap], err_sum
 
 

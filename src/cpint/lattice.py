@@ -159,11 +159,16 @@ def abs_norm(f: Distribution, tol: float = DEFAULT_TOL) -> AbsNormResult:
     leaves it as it is.  No finite
     procedure can decide infinite variation; the verdict is
     evidence-grade.
+
+    The dyadic grid of each level is read from F's grid table (see
+    on_grid) where the table holds it; finer levels evaluate their new
+    points without storing them, so the table does not grow.
     """
     F = f.primitive
+    held = 0 if F._table is None else len(F._table)
     level = _ABS_START_LEVEL
     us = u_grid(2 ** level + 1)
-    vals = F.at_u_many(us)
+    vals = F.on_grid(len(us)) if len(us) <= held else F.at_u_many(us)
     done: set = set()
     extrema = 0
     prev_sum = None
@@ -199,7 +204,9 @@ def abs_norm(f: Distribution, tol: float = DEFAULT_TOL) -> AbsNormResult:
                 f"{extrema} refined extrema")
         level += 1
         mids = -1.0 + 2.0 ** (1 - level) * np.arange(1, 2 ** level, 2)
-        us, vals = _merged(us, vals, mids, F.at_u_many(mids))
+        n = 2 ** level + 1
+        us, vals = _merged(us, vals, mids, F.on_grid(n)[1::2] if n <= held
+                           else F.at_u_many(mids))
 
 
 def _merged(us: np.ndarray, vals: np.ndarray, new_us: np.ndarray,

@@ -9,9 +9,12 @@ the same 20-node Gauss segment rule, bisected by bv's worst-first loop.
 One scan of the integrand's sign changes picks the path.  For
 oscillatory integrands whose cumulative integral converges
 conditionally (the interesting case), the integrand is partitioned at
-its sign changes, each lobe is one run of the loop, and the tail limit
-is extracted by accelerating the alternating series of lobe areas.  If
-the scan ends first, one run integrates h (1+|x|)^2 over the chart.
+its sign changes, and the tail limit is extracted by accelerating the
+alternating series of lobe areas.  Once that limit has settled, the
+rule runs over many lobes in one array pass (_gauss_panels); a lobe
+whose first panel misses its goal continues in the loop from that
+panel.  If the scan ends first, one run integrates h (1+|x|)^2 over
+the chart.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
 from numpy.polynomial import chebyshev, legendre
 
-from .bv import _refine
+from .bv import _goal, _refine
 from .cfun import DEFAULT_TOL, _safe
 from .chart import compactify, decompactify, illinois_zero
 from .errors import NoLimitAtInfinity
@@ -36,6 +40,7 @@ from .space import Distribution, distribution_from_evaluator
 _GAUSS_NODES = legendre.leggauss(20)[0]
 _GAUSS_INTERPOLANT = np.linalg.inv(chebyshev.chebvander(_GAUSS_NODES, 19))
 _GAUSS_ANTIDERIVATIVE = chebyshev.chebint(_GAUSS_INTERPOLANT, lbnd=-1)
+_GAUSS_SPAN = _GAUSS_NODES + 1.0     # node offsets in half widths from lo
 
 _MAX_LOBES = 20000
 _SEGMENT_CAP = 2 * _MAX_LOBES   # rows of either table
@@ -43,6 +48,9 @@ _SCAN_STEPS = 120         # steps without a sign change that end the scan
 _ACCEL_TAIL = 40          # partial sums fed to the epsilon algorithm
 _MODEL_DECAY = 3          # tail model exponent past the lobe cutoff
 _DEFECT_TARGET = 1e-2     # lobes are summed exactly down to this area
+_MAX_BATCH = 64           # lobes of one _gauss_panels pass
+_DECAY_SPANS = (2, 4, 8, 16)   # lobes over which _batch_size reads the
+                               # decay; even spans compare lobes of one sign
 
 
 def epsilon_limit(partial_sums) -> float:
@@ -158,24 +166,86 @@ class HakeResult:
     defect_bound: float
 
 
+def _gauss_panels(h, los, his):
+    """The Gauss segment rule of both tables, on k segments [lo, hi] at
+    once: one loop of calls of h at the 20 nodes of each, then one array
+    pass.  Row i is a table row: the antiderivative, vanishing at lo, of
+    the interpolant through h at the nodes of segment i.  Its estimate is
+    half the width times the interpolant's last two coefficients, and its
+    scale half the width times the summed |h| at the nodes.  The nodes
+    are interior, so h is never evaluated at an end.  At k = 1 the
+    products are BLAS matrix-vector products; at k >= 2 they are
+    matrix-matrix products, whose rows can differ in their last bits."""
+    lo = np.array(los, dtype=float)
+    half = 0.5 * (np.array(his, dtype=float) - lo)
+    xs = lo[:, None] + half[:, None] * _GAUSS_SPAN
+    vals = np.array([h(x) for x in xs.ravel().tolist()],
+                    dtype=float).reshape(xs.shape)
+    c = _GAUSS_INTERPOLANT @ vals.T
+    return (((_GAUSS_ANTIDERIVATIVE @ vals.T) * half).T.copy(),
+            half * (np.abs(c[-2]) + np.abs(c[-1])),
+            half * np.abs(vals).sum(axis=1))
+
+
 def _gauss_rule(h):
-    """The segment rule of both tables, in the form bv._refine takes.
-    On [lo, hi] the value is a table row: the antiderivative, vanishing
-    at lo, of the interpolant through h at the 20 Gauss nodes.  The
-    estimate is half the width times the interpolant's last two
-    coefficients, and the scale half the width times the summed |h| at
-    the nodes.  The nodes are interior, so h is never evaluated at an
-    end and segments carry no end values."""
+    """_gauss_panels at k = 1, in the form bv._refine takes: the value
+    is the row, and segments carry no end values."""
     def rule(lo, left, hi, right):
-        half = 0.5 * (hi - lo)
-        vals = np.array([h(x) for x in
-                         (lo + half * (_GAUSS_NODES + 1.0)).tolist()],
-                        dtype=float)
-        c = _GAUSS_INTERPOLANT @ vals
-        return (half * (_GAUSS_ANTIDERIVATIVE @ vals),
-                float(half * (abs(c[-2]) + abs(c[-1]))),
-                half * float(np.abs(vals).sum()), None)
+        rows, est, scale = _gauss_panels(h, (lo,), (hi,))
+        return rows[0], float(est[0]), float(scale[0]), None
     return rule
+
+
+def _batch_size(areas, allowed: int) -> int:
+    """Lobes to evaluate in one pass once the total has settled: half
+    the fewest lobes left before an area falls below _DEFECT_TARGET, as
+    the geometric decay over each of the last _DECAY_SPANS lobes
+    predicts, at most _MAX_BATCH and at most allowed; 1 where an area
+    has not fallen over one of the spans.  On a power-law decay the
+    geometric prediction falls short, so on decaying areas a pass does
+    not read past the lobe that stops the loop; elsewhere it reads at
+    most k - 1 lobes more than needed."""
+    now = abs(areas[-1])
+    left = 2.0 * _MAX_BATCH      # so that k is at most _MAX_BATCH
+    for span in _DECAY_SPANS:
+        span = min(span, len(areas) - 1)
+        before = abs(areas[-1 - span])
+        if not now < before:
+            return 1
+        left = min(left, span * math.log(now / _DEFECT_TARGET)
+                   / math.log(before / now))
+    return max(1, min(int(left / 2.0), allowed))
+
+
+def _lobes(integrand, lo, zeros, tol, batch_size):
+    """Each lobe's right end, final table segments and area, in order:
+    the lobes end at the zeros, taken batch_size() at a time, and each
+    batch is one _gauss_panels pass.  A lobe whose panel meets its goal,
+    by the test bv._refine makes on one segment, keeps that row; one
+    that misses continues in bv._refine from that panel, so no node is
+    evaluated twice.  The area is the exact sum of
+    the row sums.  The segment cap counts the rows of every lobe
+    yielded."""
+    rule = _gauss_rule(integrand)
+    zeros = iter(zeros)
+    rows_used = 0
+    while his := list(islice(zeros, batch_size())):
+        los = [lo] + his[:-1]
+        rows, est, scale = _gauss_panels(integrand, los, his)
+        met = np.isfinite(est + scale) & (est <= _goal(tol, scale))
+        areas = rows.sum(axis=1).tolist()
+        for i, hi in enumerate(his):
+            if met[i]:
+                segments, area = [(los[i], hi, rows[i])], areas[i]
+            else:
+                segments, _ = _refine(
+                    [(rule, float, los[i], None, hi, None)], tol, "lobe",
+                    _SEGMENT_CAP - rows_used,
+                    [(rows[i], float(est[i]), float(scale[i]), None)])
+                area = math.fsum(float(row.sum()) for _, _, row in segments)
+            rows_used += len(segments)
+            yield hi, segments, area
+        lo = his[-1]
 
 
 def _oscillatory_total(integrand, start, zeros, tol):
@@ -188,7 +258,11 @@ def _oscillatory_total(integrand, start, zeros, tol):
     oscillations like sin(x), so convergence additionally requires the
     lobe areas themselves to decay.  After the limit settles, lobes keep
     being accumulated until one drops below _DEFECT_TARGET, which bounds
-    the tail-model defect of the stored primitive.
+    the tail-model defect of the stored primitive.  Until then each lobe
+    decides whether the loop goes on, so _lobes evaluates them one at a
+    time; after it, _batch_size lobes at a time.  Either way lobes are
+    summed one by one, and those read past the stopping lobe are
+    dropped.
     """
     table = []
     areas = []
@@ -198,11 +272,9 @@ def _oscillatory_total(integrand, start, zeros, tol):
     decay_failures = 0
     prev_est = None
     lo = start
-    rule = _gauss_rule(integrand)
-    for z in zeros:
-        segments, _ = _refine([(rule, float, lo, None, z, None)], tol,
-                              "lobe", _SEGMENT_CAP - len(table))
-        area = math.fsum(float(row.sum()) for _, _, row in segments)
+    for z, segments, area in _lobes(
+            integrand, start, zeros, tol, lambda: 1 if total is None
+            else _batch_size(areas, _MAX_LOBES - len(sums))):
         table += segments
         areas.append(area)
         sums.append((sums[-1] if sums else 0.0) + area)
@@ -278,18 +350,29 @@ def hake_from_integrand(integrand, a: float = 0.0,
     evaluate h at a, so an integrable singularity there is no error by
     itself; one the rule cannot resolve reaches the depth cap.
     Otherwise h is partitioned at sign changes, found by Illinois
-    regula falsi, and each lobe runs the loop once.  The alternating
-    series of lobe areas is accelerated for the limit, and once it has
-    settled lobes are accumulated until one is smaller than
-    _DEFECT_TARGET.  The lobe boundary where the loop stopped is the
-    cutoff: the table holds every lobe before it, and past it the stored
-    primitive follows a smooth decaying tail model.  A non-finite value
+    regula falsi.  The alternating series of lobe areas is accelerated
+    for the limit, and once it has settled lobes are accumulated until
+    one is smaller than _DEFECT_TARGET.  Until the limit has settled
+    lobes are evaluated one at a time; after it, up to _MAX_BATCH lobes
+    share one loop of integrand calls and one array pass of the rule
+    (see _batch_size), and a lobe whose first panel misses its goal is
+    bisected from that panel.  Where the areas decay, the integrand
+    calls are those of one lobe at a time; a pass that reads past the
+    stopping lobe, as it can where they do not, drops the lobes after
+    it.  The rows after the settle point can differ in their last bits
+    from those of one lobe at a time, as BLAS matrix-matrix products
+    differ from matrix-vector ones; the total is fixed before the first
+    pass.  The lobe boundary where the loop stopped is the cutoff: the
+    table holds every lobe before it, and past it the stored primitive
+    follows a smooth decaying tail model.  A non-finite value
     of h at a node, a segment past bv's depth cap, or a table past
     _SEGMENT_CAP rows raises BudgetExceeded naming the segment's
-    x-interval.  On both paths the primitive is one table of Chebyshev
-    series with an array form, and evaluating it calls no integrand.  The sup-norm gap between the stored and the
-    true primitive is estimated by defect_bound on the result; the total
-    over [a, inf) is not affected by the tail model.
+    x-interval; the lobes of its pass have been evaluated by then.  On
+    both paths the primitive is one table of Chebyshev series with an
+    array form, and evaluating it calls no integrand.  The sup-norm gap
+    between the stored and the true primitive is estimated by
+    defect_bound on the result; the total over [a, inf) is not affected
+    by the tail model.
     """
     lobes = _oscillatory_total(
         integrand, a, _scan_sign_changes(integrand, a, 0.5), tol)

@@ -284,6 +284,36 @@ class TestAbsNorm:
             lambda x: math.sin(w * x) * math.exp(-x * x), 0.0, 0.0)))
         _assert_partition_sum_of(res, exact)
 
+    @pytest.mark.parametrize("held", [1025, 65])
+    def test_levels_read_the_held_table(self, held):
+        # the levels' grid points up to the held size are read from the
+        # table: no held point is read again, the table does not grow, and
+        # the result is that of a primitive that holds no table
+        def counted(read):
+            def ev(x):
+                return math.sin(20.0 * x) * math.exp(-x * x)
+
+            def many(xs):
+                read.extend(xs.tolist())
+                return np.array([ev(x) for x in xs.tolist()])
+            ev.many = many
+            return Distribution(ContinuousFunctionBar(ev, 0.0, 0.0))
+        cold_read = []
+        cold = abs_norm(counted(cold_read))
+        read = []
+        f = counted(read)
+        f.primitive.on_grid(held)
+        del read[:]
+        res = abs_norm(f)
+        assert res == cold
+        top = min(held, 2 ** res.levels_used + 1)
+        grid = set(decompactify_many(u_grid(top)).tolist()) - {-math.inf,
+                                                                math.inf}
+        assert grid <= set(cold_read)
+        assert grid.isdisjoint(read)
+        assert len(cold_read) - len(read) == len(grid)
+        assert f.primitive._table.size == held
+
     @pytest.mark.parametrize("n", [4, 8])
     def test_sine_burst(self, n):
         # n (cos(n pi) - cos(nx)) on |x| < pi: 2n half-waves of rise 2n
