@@ -10,11 +10,13 @@ One scan of the integrand's sign changes picks the path.  For
 oscillatory integrands whose cumulative integral converges
 conditionally (the interesting case), the integrand is partitioned at
 its sign changes, and the tail limit is extracted by accelerating the
-alternating series of lobe areas.  Once that limit has settled, the
-rule runs over many lobes in one array pass (_gauss_panels); a lobe
-whose first panel misses its goal continues in the loop from that
-panel.  If the scan ends first, one run integrates h (1+|x|)^2 over
-the chart.
+alternating series of lobe areas, in one loop (_oscillatory_total):
+each pass runs the rule over the next lobes in one array pass
+(_gauss_panels), one lobe until the limit has settled and many after
+it, and a lobe whose first panel misses its goal continues in bv's
+loop from that panel.  If the scan ends first, one run integrates
+h (1+|x|)^2 over the chart.  Every table row is summed by one
+Clenshaw recurrence (_clenshaw), on floats and on arrays alike.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from numpy.polynomial import chebyshev, legendre
 
 from .bv import _goal, _refine
-from .cfun import DEFAULT_TOL, _safe
+from .cfun import DEFAULT_TOL, _many, _safe
 from .chart import compactify, decompactify, illinois_zero
 from .errors import NoLimitAtInfinity
 from .space import Distribution, distribution_from_evaluator
@@ -77,16 +79,26 @@ def epsilon_limit(partial_sums) -> float:
     return best
 
 
+def _clenshaw(c, t):
+    """Sum of c[k] T_k(t) by Clenshaw's recurrence: on a Python float t
+    with a list c, or elementwise on an array t with one column of c per
+    point, by the same float operations in the same order."""
+    t2 = t + t
+    b1 = b2 = 0.0
+    for ck in c[:0:-1]:
+        b1, b2 = ck + t2 * b1 - b2, b1
+    return c[0] + t * b1 - b2
+
+
 def _primitive_table(segments: list[tuple]):
     """Evaluator and end value of the continuous piecewise Chebyshev
     series on abutting segments (lo, hi, row), in any order, whose row is
     an antiderivative that vanishes at lo.  Each row is offset by the sum
     of the rows to its left (T_k(1) = 1, so a row sums to its value at
     its right end).  A point is bisected to its segment and summed by
-    Clenshaw's recurrence in floats; outside the knots the end segments
-    extrapolate.  The evaluator's array form (see cfun) finds the
-    segments by searchsorted and runs the same float operations in the
-    same order."""
+    _clenshaw; outside the knots the end segments extrapolate.  The
+    evaluator's array form (see cfun) finds the segments by searchsorted
+    and sums all points in one _clenshaw call."""
     segments = sorted(segments, key=itemgetter(0))
     knots = [lo for lo, _, _ in segments] + [segments[-1][1]]
     table = np.array([row for _, _, row in segments])
@@ -99,24 +111,12 @@ def _primitive_table(segments: list[tuple]):
     def at(s: float) -> float:
         i = min(max(bisect_right(knots, s) - 1, 0), last)
         lo, hi = knots[i], knots[i + 1]
-        t = (2.0 * s - lo - hi) / (hi - lo)
-        t2 = t + t
-        c = table[i].tolist()
-        b1 = b2 = 0.0
-        for ck in c[:0:-1]:
-            b1, b2 = ck + t2 * b1 - b2, b1
-        return c[0] + t * b1 - b2
+        return _clenshaw(table[i].tolist(), (2.0 * s - lo - hi) / (hi - lo))
 
     def at_many(s: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, last)
         lo, hi = edges[i], edges[i + 1]
-        t = (2.0 * s - lo - hi) / (hi - lo)
-        t2 = t + t
-        c = columns[:, i]
-        b1 = b2 = np.zeros_like(t)
-        for ck in c[:0:-1]:
-            b1, b2 = ck + t2 * b1 - b2, b1
-        return c[0] + t * b1 - b2
+        return _clenshaw(columns[:, i], (2.0 * s - lo - hi) / (hi - lo))
 
     at.many = at_many
     return at, float(ends[-1])
@@ -168,19 +168,20 @@ class HakeResult:
 
 def _gauss_panels(h, los, his):
     """The Gauss segment rule of both tables, on k segments [lo, hi] at
-    once: one loop of calls of h at the 20 nodes of each, then one array
-    pass.  Row i is a table row: the antiderivative, vanishing at lo, of
-    the interpolant through h at the nodes of segment i.  Its estimate is
-    half the width times the interpolant's last two coefficients, and its
-    scale half the width times the summed |h| at the nodes.  The nodes
-    are interior, so h is never evaluated at an end.  At k = 1 the
-    products are BLAS matrix-vector products; at k >= 2 they are
-    matrix-matrix products, whose rows can differ in their last bits."""
+    once: h at the 20 nodes of each, read by cfun._many (h's array form
+    where it has one, else one loop of calls, a call that raises reading
+    as NaN, as in the scan), then one array pass.  Row i is a table
+    row: the antiderivative, vanishing at lo, of the interpolant through
+    h at the nodes of segment i.  Its estimate is half the width times
+    the interpolant's last two coefficients, and its scale half the
+    width times the summed |h| at the nodes.  The nodes are interior, so
+    h is never evaluated at an end.  At k = 1 the products are BLAS
+    matrix-vector products; at k >= 2 they are matrix-matrix products,
+    whose rows can differ in their last bits."""
     lo = np.array(los, dtype=float)
     half = 0.5 * (np.array(his, dtype=float) - lo)
     xs = lo[:, None] + half[:, None] * _GAUSS_SPAN
-    vals = np.array([h(x) for x in xs.ravel().tolist()],
-                    dtype=float).reshape(xs.shape)
+    vals = _many(h, xs.ravel()).reshape(xs.shape)
     c = _GAUSS_INTERPOLANT @ vals.T
     return (((_GAUSS_ANTIDERIVATIVE @ vals.T) * half).T.copy(),
             half * (np.abs(c[-2]) + np.abs(c[-1])),
@@ -217,53 +218,29 @@ def _batch_size(areas, allowed: int) -> int:
     return max(1, min(int(left / 2.0), allowed))
 
 
-def _lobes(integrand, lo, zeros, tol, batch_size):
-    """Each lobe's right end, final table segments and area, in order:
-    the lobes end at the zeros, taken batch_size() at a time, and each
-    batch is one _gauss_panels pass.  A lobe whose panel meets its goal,
-    by the test bv._refine makes on one segment, keeps that row; one
-    that misses continues in bv._refine from that panel, so no node is
-    evaluated twice.  The area is the exact sum of
-    the row sums.  The segment cap counts the rows of every lobe
-    yielded."""
-    rule = _gauss_rule(integrand)
-    zeros = iter(zeros)
-    rows_used = 0
-    while his := list(islice(zeros, batch_size())):
-        los = [lo] + his[:-1]
-        rows, est, scale = _gauss_panels(integrand, los, his)
-        met = np.isfinite(est + scale) & (est <= _goal(tol, scale))
-        areas = rows.sum(axis=1).tolist()
-        for i, hi in enumerate(his):
-            if met[i]:
-                segments, area = [(los[i], hi, rows[i])], areas[i]
-            else:
-                segments, _ = _refine(
-                    [(rule, float, los[i], None, hi, None)], tol, "lobe",
-                    _SEGMENT_CAP - rows_used,
-                    [(rows[i], float(est[i]), float(scale[i]), None)])
-                area = math.fsum(float(row.sum()) for _, _, row in segments)
-            rows_used += len(segments)
-            yield hi, segments, area
-        lo = his[-1]
-
-
 def _oscillatory_total(integrand, start, zeros, tol):
     """Accelerated limit of the cumulative integral along lobe sums, with
     the lobe boundary where the loop stopped, the number of lobes, the
     last lobe's area and the lobe table's segments; None if the zeros run
     out first, so that h keeps its sign after the last of them.
 
+    The lobes end at the zeros.  Each pass of the loop takes the next
+    lobes, one until the limit has settled and _batch_size after it, and
+    runs one _gauss_panels pass over them.  A lobe whose panel meets its
+    goal, by the test bv._refine makes on one segment, keeps that row;
+    one that misses continues in bv._refine from that panel, so no node
+    is evaluated twice.  The lobes of a pass are then summed one by one,
+    each area the exact sum of its row sums, and those read past the
+    stopping lobe are dropped.
+
     Acceleration alone would assign Abel-style values to divergent
     oscillations like sin(x), so convergence additionally requires the
     lobe areas themselves to decay.  After the limit settles, lobes keep
     being accumulated until one drops below _DEFECT_TARGET, which bounds
-    the tail-model defect of the stored primitive.  Until then each lobe
-    decides whether the loop goes on, so _lobes evaluates them one at a
-    time; after it, _batch_size lobes at a time.  Either way lobes are
-    summed one by one, and those read past the stopping lobe are
-    dropped.
+    the tail-model defect of the stored primitive.
     """
+    rule = _gauss_rule(integrand)
+    zeros = iter(zeros)
     table = []
     areas = []
     sums = []
@@ -272,43 +249,52 @@ def _oscillatory_total(integrand, start, zeros, tol):
     decay_failures = 0
     prev_est = None
     lo = start
-    for z, segments, area in _lobes(
-            integrand, start, zeros, tol, lambda: 1 if total is None
-            else _batch_size(areas, _MAX_LOBES - len(sums))):
-        table += segments
-        areas.append(area)
-        sums.append((sums[-1] if sums else 0.0) + area)
-        lo = z
-        if total is None and len(sums) >= 10:
-            est = epsilon_limit(sums[-_ACCEL_TAIL:])
-            if prev_est is not None and abs(est - prev_est) < 1e-13 * (
-                    1.0 + abs(est)):
-                settled += 1
+    while his := list(islice(zeros, 1 if total is None else _batch_size(
+            areas, _MAX_LOBES - len(sums)))):
+        los = [lo] + his[:-1]
+        rows, err, scale = _gauss_panels(integrand, los, his)
+        met = np.isfinite(err + scale) & (err <= _goal(tol, scale))
+        row_areas = rows.sum(axis=1).tolist()
+        for i, hi in enumerate(his):
+            if met[i]:
+                segments, area = [(los[i], hi, rows[i])], row_areas[i]
             else:
-                settled = 0
-            prev_est = est
-            if settled >= 3:
-                head = np.mean(np.abs(areas[:5]))
-                tail = np.mean(np.abs(areas[-5:]))
-                if tail < 0.9 * head:
-                    total = est
+                segments, _ = _refine(
+                    [(rule, float, los[i], None, hi, None)], tol, "lobe",
+                    _SEGMENT_CAP - len(table),
+                    [(rows[i], float(err[i]), float(scale[i]), None)])
+                area = math.fsum(float(row.sum()) for _, _, row in segments)
+            table += segments
+            areas.append(area)
+            sums.append((sums[-1] if sums else 0.0) + area)
+            if total is None and len(sums) >= 10:
+                est = epsilon_limit(sums[-_ACCEL_TAIL:])
+                if prev_est is not None and abs(est - prev_est) < 1e-13 * (
+                        1.0 + abs(est)):
+                    settled += 1
                 else:
-                    decay_failures += 1
                     settled = 0
-                    if decay_failures >= 5:
-                        raise NoLimitAtInfinity(
-                            "lobe areas do not decay; the cumulative "
-                            "integral has no limit")
-        if total is not None and abs(area) < _DEFECT_TARGET:
-            break
-        if len(sums) >= _MAX_LOBES:
-            break
-    else:
-        return None
-    if total is None:
-        raise NoLimitAtInfinity(
-            "lobe sums did not settle within the lobe budget")
-    return total, lo, len(sums), area, table
+                prev_est = est
+                if settled >= 3:
+                    head = np.mean(np.abs(areas[:5]))
+                    tail = np.mean(np.abs(areas[-5:]))
+                    if tail < 0.9 * head:
+                        total = est
+                    else:
+                        decay_failures += 1
+                        settled = 0
+                        if decay_failures >= 5:
+                            raise NoLimitAtInfinity(
+                                "lobe areas do not decay; the cumulative "
+                                "integral has no limit")
+            if (total is not None and abs(area) < _DEFECT_TARGET
+                    or len(sums) >= _MAX_LOBES):
+                if total is None:
+                    raise NoLimitAtInfinity(
+                        "lobe sums did not settle within the lobe budget")
+                return total, hi, len(sums), area, table
+        lo = his[-1]
+    return None
 
 
 def _settled_table(integrand, a: float, tol: float):
@@ -352,22 +338,23 @@ def hake_from_integrand(integrand, a: float = 0.0,
     Otherwise h is partitioned at sign changes, found by Illinois
     regula falsi.  The alternating series of lobe areas is accelerated
     for the limit, and once it has settled lobes are accumulated until
-    one is smaller than _DEFECT_TARGET.  Until the limit has settled
-    lobes are evaluated one at a time; after it, up to _MAX_BATCH lobes
-    share one loop of integrand calls and one array pass of the rule
-    (see _batch_size), and a lobe whose first panel misses its goal is
-    bisected from that panel.  Where the areas decay, the integrand
-    calls are those of one lobe at a time; a pass that reads past the
-    stopping lobe, as it can where they do not, drops the lobes after
-    it.  The rows after the settle point can differ in their last bits
-    from those of one lobe at a time, as BLAS matrix-matrix products
-    differ from matrix-vector ones; the total is fixed before the first
-    pass.  The lobe boundary where the loop stopped is the cutoff: the
-    table holds every lobe before it, and past it the stored primitive
-    follows a smooth decaying tail model.  A non-finite value
-    of h at a node, a segment past bv's depth cap, or a table past
-    _SEGMENT_CAP rows raises BudgetExceeded naming the segment's
-    x-interval; the lobes of its pass have been evaluated by then.  On
+    one is smaller than _DEFECT_TARGET, in one loop (_oscillatory_total)
+    whose passes take up to _MAX_BATCH lobes after the settle point
+    (see _batch_size).  Where the areas decay, the integrand calls are
+    those of one lobe at a time; a pass that reads past the stopping
+    lobe, as it can where they do not, drops the lobes after it.  The
+    rows after the settle point can differ in their last bits from
+    those of one lobe at a time, as BLAS matrix-matrix products differ
+    from matrix-vector ones; the total is fixed before the first pass
+    of many lobes.  The lobe boundary where the loop stopped is the
+    cutoff: the table holds every lobe before it, and past it the stored
+    primitive follows a smooth decaying tail model.  h is read at the
+    nodes through its array form where it carries one (see cfun._many).
+    A non-finite value of h at a node (a call that raises one of
+    errors.UNDEFINED reads as NaN), a segment past bv's depth cap, or a
+    table past _SEGMENT_CAP rows raises BudgetExceeded naming the
+    segment's x-interval; the lobes of its pass have been evaluated by
+    then.  On
     both paths the primitive is one table of Chebyshev series with an
     array form, and evaluating it calls no integrand.  The sup-norm gap
     between the stored and the true primitive is estimated by

@@ -421,3 +421,70 @@ class TestFiniteSignChanges:
             return h(x)
 
         assert abs(hake_from_integrand(counted).total - total) <= 1e-12
+
+
+class TestIntegrandReads:
+    """The Gauss rule reads h at its nodes through cfun._many: h's array
+    form where it carries one, else one call at each node, a call that
+    raises one of errors.UNDEFINED reading as NaN, as in the scan."""
+
+    @staticmethod
+    def _outcome(h):
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return h(x)
+
+        with pytest.raises(BudgetExceeded) as info:
+            hake_from_integrand(counted)
+        return str(info.value), calls
+
+    @pytest.mark.parametrize("c,calls", [(7.0, 464), (70.0, 43_944)],
+                             ids=["first_lobes", "in_a_batch"])
+    def test_raising_node_reads_as_nan(self, c, calls):
+        def raising(x):
+            if abs(x - c) < 0.05:
+                raise ValueError("undefined")
+            return math.sin(x * x)
+
+        got = self._outcome(raising)
+        assert got == self._outcome(
+            lambda x: math.nan if abs(x - c) < 0.05 else math.sin(x * x))
+        assert got[0].startswith("lobe non-finite value after 0 panels")
+        assert got[1] == calls
+
+    def test_raising_tail_ends_on_the_settled_path(self):
+        # past x = 90 the scan reads NaN and finds no sign change, so the
+        # settled path's first panel meets the raising calls
+        assert self._outcome(
+            lambda x: 1.0 / 0.0 if x > 90.0 else math.sin(x * x)) == (
+            "settled non-finite value after 0 panels on x in [0.0, inf]",
+            71_798)
+
+    def test_array_form_matches_scalar_integrand(self):
+        scalar_calls = 0
+        many_points = []
+
+        def h(x):
+            nonlocal scalar_calls
+            scalar_calls += 1
+            return math.sin(x * x)
+
+        def h_many(xs):
+            many_points.append(len(xs))
+            return np.array([math.sin(x * x) for x in xs.tolist()])
+
+        h.many = h_many
+        got = hake_from_integrand(h)
+        want = hake_from_integrand(lambda x: math.sin(x * x))
+        assert (got.total, got.cutoff, got.lobes_used, got.defect_bound) == (
+            want.total, want.cutoff, want.lobes_used, want.defect_bound)
+        xs = np.random.default_rng(5).uniform(0.0, want.cutoff, 3000)
+        F, F_want = got.distribution.primitive, want.distribution.primitive
+        assert (F.eval_many(xs).view(np.uint64)
+                == F_want.eval_many(xs).view(np.uint64)).all()
+        # the scan calls h; every Gauss node goes through h.many
+        assert (scalar_calls, len(many_points), sum(many_points)) == (
+            24_808, 78, 63_680)
