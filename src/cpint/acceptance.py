@@ -18,7 +18,7 @@ import numpy as np
 
 from . import convergence, transforms
 from .bv import blocks
-from .cfun import ContinuousFunctionBar
+from .cfun import ContinuousFunctionBar, bump
 from .chart import NEG_INF
 from .convergence import Verdict, fixtures as sequence_fixtures
 from .errors import CpintError
@@ -30,8 +30,8 @@ from .lattice import LatticeKind, Order, abs_norm, compare, lattice_op, parts
 from .products import (TaylorInput, change_of_variables, holder_bound,
                        integral_product, second_mvt_xi, taylor_expand)
 from .quadrature import hake_from_integrand
-from .space import (Distribution, NormKind, integral, linear_combine, norm,
-                    translate, zero)
+from .space import (Distribution, NormKind, equal, integral, linear_combine,
+                    norm, translate, zero)
 
 DEFAULT_SEED = 20260824
 
@@ -145,7 +145,6 @@ def _criterion_5(tol: float) -> tuple[bool, str]:
     notes.append(f"triangle pairing err {worst:.2e}")
 
     ramp = sequence_fixtures("power_ramp")
-    from .cfun import bump
     interior = [bump(0.3, 0.25), bump(0.5, 0.3), bump(0.7, 0.2)]
     wd3 = convergence.weak_d_report(ramp, zero(), battery=interior,
                                     n_max=64, tol=tol)
@@ -180,7 +179,6 @@ def _criterion_6(tol: float) -> tuple[bool, str]:
         if not leq(linear_combine(1.0, f, h), linear_combine(1.0, join, h)):
             bad_axioms += 1
         # (iii) modular identity: join + meet = f + g
-        from .space import equal
         if not equal(linear_combine(1.0, join, meet),
                      linear_combine(1.0, f, g)):
             bad_axioms += 1

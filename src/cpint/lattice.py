@@ -160,28 +160,26 @@ def abs_norm(f: Distribution, tol: float = DEFAULT_TOL) -> AbsNormResult:
     procedure can decide infinite variation; the verdict is
     evidence-grade.
 
-    The dyadic grid of each level is read from F's grid table (see
-    on_grid) where the table holds it; finer levels evaluate their new
-    points without storing them, so the table does not grow.
+    Each level reads its dyadic grid through F.on_grid, so F's table
+    grows to the finest level read.
     """
     F = f.primitive
-    held = 0 if F._table is None else len(F._table)
-    level = _ABS_START_LEVEL
-    us = u_grid(2 ** level + 1)
-    vals = F.on_grid(len(us)) if len(us) <= held else F.at_u_many(us)
+    ext_u = ext_v = np.empty(0)     # the extrema refined so far
     done: set = set()
-    extrema = 0
     prev_sum = None
     settled = growing_run = 0
-    while True:
+    for level in range(_ABS_START_LEVEL, _ABS_MAX_LEVEL + 1):
+        n = 2 ** level + 1
+        us, vals = _merged(u_grid(n), F.on_grid(n), ext_u, ext_v)
         if np.isnan(vals).any():
             raise BudgetExceeded(f"evaluator undefined inside abs_norm "
                                  f"partition at level {level}")
         cur = _variation_sum(vals)
         found = _refined_extrema(F, us, vals, done, tol * (1.0 + cur))
         if found:
-            extrema += len(found)
-            us, vals = _merged(us, vals, *map(np.array, zip(*found)))
+            new_u, new_v = map(np.array, zip(*found))
+            ext_u, ext_v = np.append(ext_u, new_u), np.append(ext_v, new_v)
+            us, vals = _merged(us, vals, new_u, new_v)
             cur = _variation_sum(vals)
         if prev_sum is not None:
             inc = cur - prev_sum
@@ -190,23 +188,17 @@ def abs_norm(f: Distribution, tol: float = DEFAULT_TOL) -> AbsNormResult:
                 settled += 1
                 growing_run = 0
                 if settled >= 2:
-                    return AbsNormResult(False, cur, level, extrema)
+                    return AbsNormResult(False, cur, level, len(ext_u))
             else:
                 settled = 0
                 if grew and found and inc > _ABS_GROWTH * cur:
                     growing_run += 1
                     if growing_run >= _ABS_DIVERGENT_RUN:
-                        return AbsNormResult(True, cur, level, extrema)
+                        return AbsNormResult(True, cur, level, len(ext_u))
         prev_sum = cur
-        if level == _ABS_MAX_LEVEL:
-            raise BudgetExceeded(
-                f"variation sums unsettled at level {level}: sum {cur:g} over "
-                f"{extrema} refined extrema")
-        level += 1
-        mids = -1.0 + 2.0 ** (1 - level) * np.arange(1, 2 ** level, 2)
-        n = 2 ** level + 1
-        us, vals = _merged(us, vals, mids, F.on_grid(n)[1::2] if n <= held
-                           else F.at_u_many(mids))
+    raise BudgetExceeded(
+        f"variation sums unsettled at level {level}: sum {cur:g} over "
+        f"{len(ext_u)} refined extrema")
 
 
 def _merged(us: np.ndarray, vals: np.ndarray, new_us: np.ndarray,

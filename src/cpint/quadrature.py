@@ -59,8 +59,6 @@ def epsilon_limit(partial_sums) -> float:
     """Wynn's epsilon algorithm; returns the top even-column estimate."""
     s = list(partial_sums)
     n = len(s)
-    if n == 1:
-        return s[0]
     prev2 = [0.0] * (n + 1)
     prev1 = s
     best = s[-1]

@@ -287,8 +287,9 @@ class TestAbsNorm:
     @pytest.mark.parametrize("held", [1025, 65])
     def test_levels_read_the_held_table(self, held):
         # the levels' grid points up to the held size are read from the
-        # table: no held point is read again, the table does not grow, and
-        # the result is that of a primitive that holds no table
+        # table: no held point is read again, the table grows only to the
+        # finest level read, and the result is that of a primitive that
+        # holds no table
         def counted(read):
             def ev(x):
                 return math.sin(20.0 * x) * math.exp(-x * x)
@@ -312,7 +313,32 @@ class TestAbsNorm:
         assert grid <= set(cold_read)
         assert grid.isdisjoint(read)
         assert len(cold_read) - len(read) == len(grid)
-        assert f.primitive._table.size == held
+        assert f.primitive._table.size == max(held, 2 ** res.levels_used + 1)
+
+    def test_parts_read_their_operands_table(self):
+        # after abs_norm(f), f holds its grid table to level 7, and the
+        # norm of |f| lifts it: its grid reads, f's array calls, read none
+        # of those points again (192 calls in all, scalar golden
+        # refinements included; reading f's grid again would take 255)
+        def sin_gauss(scalar, array):
+            def ev(x):
+                scalar.append(x)
+                return math.sin(x) * math.exp(-x * x)
+
+            def many(xs):
+                array.extend(xs.tolist())
+                return np.array([ev(x) for x in xs.tolist()])
+            ev.many = many
+            return Distribution(ContinuousFunctionBar(ev, 0.0, 0.0))
+        cold = abs_norm(parts(sin_gauss([], []))[2])
+        scalar, array = [], []
+        f = sin_gauss(scalar, array)
+        assert abs_norm(f).levels_used == 7
+        del scalar[:], array[:]
+        assert abs_norm(parts(f)[2]) == cold
+        grid = decompactify_many(u_grid(2 ** 7 + 1)).tolist()
+        assert set(grid).isdisjoint(array)
+        assert len(scalar) == 192
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_sine_burst(self, n):

@@ -56,6 +56,14 @@ class TestEpsilonLimit:
         assert epsilon_limit(partial) == pytest.approx(math.log(2.0),
                                                        abs=1e-10)
 
+    @pytest.mark.parametrize("partial, want", [
+        ([0.75], 0.75),
+        ([1.0, 0.5], 0.5),      # one difference: no even column yet
+        ([0.5, 0.5], 0.5),      # a zero difference returns the later sum
+    ])
+    def test_one_and_two_sums(self, partial, want):
+        assert epsilon_limit(partial) == want
+
 
 class TestSignChanges:
     @pytest.mark.parametrize("f,zero", [
