@@ -19,14 +19,15 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import count
+from itertools import count, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre
 
-from .chart import INF, NEG_INF, compactify, decompactify, golden_max
-from .cfun import _ROUNDOFF, ContinuousFunctionBar
+from .chart import (INF, NEG_INF, compactify, decompactify,
+                    decompactify_many, golden_max)
+from .cfun import _ROUNDOFF, ContinuousFunctionBar, _many, _safe
 from .errors import BudgetExceeded, IntervalEmpty, MalformedPieces
 
 _MONO_SAMPLES = 65
@@ -328,9 +329,10 @@ def _stieltjes_matrix(t: np.ndarray) -> np.ndarray:
 # residuals of the error estimate.
 _NODES = np.sin(np.pi * np.arange(-8, 9) / 16.0)
 _MID = 8
-_D_FINE = _stieltjes_matrix(_NODES)
-_D_NESTED = _D_FINE.copy()          # fine rule minus coarse rule
-_D_NESTED[::2, ::2] -= _stieltjes_matrix(_NODES[::2])
+# the fine rule and, for the error estimate, the fine rule minus the
+# coarse one, stacked so that one np.matmul applies both
+_D_RULES = np.stack([_stieltjes_matrix(_NODES)] * 2)
+_D_RULES[1, ::2, ::2] -= _stieltjes_matrix(_NODES[::2])
 # d @ _RESIDUAL: value minus coarse interpolant at each odd node;
 # d @ _STEP: increment across the two even nodes around it
 _RESIDUAL = np.eye(17)[:, 1::2]
@@ -347,6 +349,8 @@ _RESIDUAL_SHARE = 1.0 / 16.0
 _GOAL = 0.1         # _refine stops when the estimates sum to tol * _GOAL,
                     # or to _ROUNDOFF of the summed scales
 _DEPTH_CAP = 40     # bisections of one segment before BudgetExceeded
+_ROUND_FLOOR = 1e-6     # a round of _refine pops no segment whose
+                        # estimate is below this share of its worst
 _RS_SEGMENT_CAP = 2 ** 19   # segments of one rs_integral run: 50% above
                             # the 350,005 of its oscillating mpmath test
 
@@ -357,95 +361,183 @@ def _goal(tol: float, scale: float) -> float:
     return _GOAL * tol + _ROUNDOFF * scale
 
 
-def _panel(F, G, x_of, ua, left, ub, right):
-    """The Stieltjes rule of _refine: int F dG over [ua, ub] at the 17
-    panel nodes u, which sit at x_of(u).  left and right are (F, G) at the
-    ends; the middle node's pair is the children's shared end.  None on a
-    flat stretch of G, which contributes nothing."""
-    (fa, ga), (fb, gb) = left, right
-    if ga == gb:
-        return None
-    us = (0.5 * (ua + ub) + 0.5 * (ub - ua) * _NODES).tolist()
-    xs = [x_of(u) for u in us[1:-1]]
-    fg = np.array([[fa] + [F(x) for x in xs] + [fb],
-                   [ga] + [G(x) for x in xs] + [gb]])
-    fm, gm = fg[:, _MID]
-    # centred on the middle node, the product's roundoff scales with the
-    # panel's own variation rather than with |F| |g|
-    d = fg - fg[:, _MID:_MID + 1]
-    df, dg = d
-    value = float(fm * (gb - ga) + df @ _D_FINE @ dg)
-    # Stieltjes sum of what the coarse interpolants miss at the odd
-    # nodes: |F - pF| against |dg| plus |g - pg| against |dF|
-    miss = np.abs(d @ _RESIDUAL)
-    steps = np.abs(d @ _STEP)
-    residual = miss[0] @ steps[1] + miss[1] @ steps[0]
-    err = float(max(abs(df @ _D_NESTED @ dg), _RESIDUAL_SHARE * residual))
-    return value, err, abs(value), (float(fm), float(gm))
+class _StieltjesRule:
+    """The Stieltjes rule of _refine in rs_integral, on k segments at
+    once: int F dG over each [lo, hi] at its 17 panel nodes.  A
+    segment's key is the index of its piece of g, bisected in x or, for a
+    piece with an infinite end, in the compact chart; its ends carry the
+    pair (F, G) there, and the middle node's pair is the children's
+    shared end.  A call reads F once at the interior nodes of all k
+    segments, through eval_many (cfun._many for a plain callable), and G
+    at each node as Piece.value reads it: its piece's end limits beyond
+    the piece, and its fn inside, through cfun._many where the segments
+    share one piece and by one loop of cfun._safe calls where they do
+    not.  Every product is a stack of the products one panel makes
+    alone (np.matmul runs one BLAS call per stacked panel), so a panel's
+    bits do not depend on the panels it is evaluated with.  A segment on
+    a flat stretch of G contributes nothing: its value is None and no
+    node of it is read."""
+
+    def __init__(self, F, pieces, charts):
+        self.F_many = (F.eval_many if isinstance(F, ContinuousFunctionBar)
+                       else partial(_many, F))
+        self.pieces = pieces
+        self.ends = np.array([(p.lo, p.hi, p.lo_val, p.hi_val)
+                              for p in pieces])
+        self.charts = charts
+
+    def x_of(self, key, u):
+        return decompactify(u) if self.charts[key] else u
+
+    def __call__(self, los, his, keys, lefts, rights):
+        k = len(los)
+        values, mids = [None] * k, [None] * k
+        errs, scales = [0.0] * k, [0.0] * k
+        live = [i for i in range(k) if lefts[i][1] != rights[i][1]]
+        if not live:
+            return values, errs, scales, mids
+        if len(live) < k:
+            los, his, keys, lefts, rights = (
+                [col[i] for i in live]
+                for col in (los, his, keys, lefts, rights))
+        ua, ub = np.array(los), np.array(his)
+        xs = ((0.5 * (ua + ub))[:, None]
+              + (0.5 * (ub - ua))[:, None] * _NODES[1:-1])
+        chart = [self.charts[p] for p in keys]
+        if any(chart):
+            xs[chart] = decompactify_many(xs[chart])
+        fg = np.empty((len(live), 2, len(_NODES)))
+        fg[:, :, 0], fg[:, :, -1] = lefts, rights
+        fg[:, 0, 1:-1] = self.F_many(xs.ravel()).reshape(xs.shape)
+        # G at each node as Piece.value reads it: its piece's fn inside
+        # the piece, the piece's end limits beyond
+        lo, hi, lo_val, hi_val = self.ends[list(keys)].T[:, :, None]
+        g = np.where(xs <= lo, lo_val, hi_val)
+        inside = (lo < xs) & (xs < hi)
+        fns = [self.pieces[p].fn for p in keys]
+        if keys.count(keys[0]) == len(keys):
+            g[inside] = _many(fns[0], xs[inside])
+        else:
+            g[inside] = [_safe(fns[i], x) for i, x in zip(
+                np.nonzero(inside)[0].tolist(), xs[inside].tolist())]
+        fg[:, 1, 1:-1] = g
+        with np.errstate(all="ignore"):
+            # centred on the middle node, the product's roundoff scales
+            # with the panel's own variation rather than with |F| |g|
+            d = fg - fg[:, :, _MID:_MID + 1]
+            df, dg = d[:, 0, None, None, :], d[:, 1, None, :, None]
+            fine, nested = np.matmul(np.matmul(df, _D_RULES), dg)[..., 0, 0].T
+            value = fg[:, 0, _MID] * (fg[:, 1, -1] - fg[:, 1, 0]) + fine
+            # Stieltjes sum of what the coarse interpolants miss at the
+            # odd nodes: |F - pF| against |dg| plus |g - pg| against |dF|
+            miss = np.abs(np.matmul(d, _RESIDUAL))
+            steps = np.abs(np.matmul(d, _STEP))
+            cross = np.matmul(miss[:, :, None, :],
+                              steps[:, ::-1, :, None])[..., 0, 0]
+            residual = _RESIDUAL_SHARE * (cross[:, 0] + cross[:, 1])
+        err = np.where(residual > abs(nested), residual, abs(nested))
+        for i, v, e, mid in zip(live, value.tolist(), err.tolist(),
+                                fg[:, :, _MID].tolist()):
+            values[i], errs[i], scales[i], mids[i] = v, e, abs(v), tuple(mid)
+        return values, errs, scales, mids
 
 
-def _refine(segments, tol: float, what: str, cap: float = math.inf,
-            first=None):
-    """Worst-first bisection, the one adaptive integration loop: of
-    rs_integral and of both tables of quadrature.hake_from_integrand.
+def _refine(rule, segments, tol: float, what: str, x_of,
+            cap: float = math.inf, first=None):
+    """Worst-first bisection in rounds, the one adaptive integration
+    loop: of rs_integral and of both tables of
+    quadrature.hake_from_integrand.
 
-    segments are (rule, x_of, lo, left, hi, right), in a coordinate u
-    at x_of(u); rule(lo, left, hi, right) is None where the segment adds
-    nothing, else its value, error estimate, scale (magnitude, for the
-    roundoff floor) and the state at its midpoint, which left and right
-    carry at the ends.  A caller that has already run the rule on the
-    given segments passes its outputs as first, and the loop continues
-    from them: no segment is evaluated twice.  The worst segment is
-    bisected until the estimates sum to _goal(tol, summed scales).  A
-    non-finite estimate or scale, a segment bisected _DEPTH_CAP times,
-    or more than cap segments raises BudgetExceeded on x in
-    [x_of(lo), x_of(hi)].  Returns the final (lo, hi, value), unordered,
-    and their summed estimate."""
+    segments are (lo, hi, key, left, right), in a coordinate u whose x is
+    x_of(key, u).  rule(los, his, keys, lefts, rights) evaluates k
+    segments in one call and returns k values, error estimates, scales
+    (magnitudes, for the roundoff floor) and midpoint states, which left
+    and right carry at the ends; mids is None where segments carry no
+    states, and a value None marks a segment that adds nothing, which is
+    dropped.  A caller that has already run the rule on the given
+    segments passes its outputs as first, and the loop continues from
+    them: no segment is evaluated twice.
+
+    Each round pops the worst segments while the estimates left in the
+    heap sum above the goal, and then runs the rule once over all their
+    children.  The goal is _goal(tol, summed scales), renewed with an
+    exact error sum as the heap doubles (the running sum drifts by the
+    roundoff of the largest estimates it held), and a round ends where
+    the heap would double.  Under one goal, the loop that bisects one
+    segment at a time would bisect every segment a round pops: when such
+    a segment is its worst, the heap it holds still sums above the goal.
+    Where the roundoff floor outweighs tol/10, the renewed goal is
+    coarser, and the two loops can stop on different partitions of the
+    same size, or one bisection apart.  A round stops popping at a
+    segment whose estimate is below _ROUND_FLOOR of the round's worst,
+    so that a dominant segment that never settles meets the depth cap
+    in about as many panels as it does one at a time, not the segment
+    cap.  A non-finite estimate or scale, a segment bisected _DEPTH_CAP
+    times, or a round that would leave more than cap segments raises
+    BudgetExceeded on x in [x_of(lo), x_of(hi)]; the last two raise
+    before any child of the round is evaluated.  Returns the final (lo,
+    hi, value), unordered, and their summed estimate."""
+    if not segments:
+        return [], 0.0
     heap = []
     serial = count()
 
-    def fail(reason, x_of, lo, hi):
+    def fail(reason, segment):
+        lo, hi, key, _, _ = segment
         raise BudgetExceeded(
             f"{what} {reason} after {next(serial)} panels on x in "
-            f"[{x_of(lo)!r}, {x_of(hi)!r}]")
+            f"[{x_of(key, lo)!r}, {x_of(key, hi)!r}]")
 
-    def push(rule, x_of, depth, lo, left, hi, right, out) -> float:
-        if out is None:
+    def evaluated(segments, outs=None):
+        """(segment, value, err, scale, mid) of each segment, from the
+        rule's outputs outs, or from one call of the rule."""
+        values, errs, scales, mids = outs or rule(*zip(*segments))
+        return zip(segments, values, np.asarray(errs).tolist(),
+                   np.asarray(scales).tolist(), mids or repeat(None))
+
+    def push(depth, segment, value, err, scale, mid) -> float:
+        if value is None:
             return 0.0
-        value, err, scale, mid = out
         if not math.isfinite(err + scale):
-            fail("non-finite value", x_of, lo, hi)
-        heapq.heappush(heap, (-err, next(serial), value, scale, depth, rule,
-                              x_of, lo, left, mid, hi, right))
+            fail("non-finite value", segment)
+        heapq.heappush(heap, (-err, next(serial), value, scale, depth,
+                              segment, mid))
         return err
 
     err_sum = 0.0
-    for i, (rule, x_of, lo, left, hi, right) in enumerate(segments):
-        out = rule(lo, left, hi, right) if first is None else first[i]
-        err_sum += push(rule, x_of, 0, lo, left, hi, right, out)
+    for row in evaluated(segments, first):
+        err_sum += push(0, *row)
     goal = _goal(tol, 0.0)
+    renew = 1 << (len(heap) - 1).bit_length()
     while heap:
-        # the running sum drifts by roundoff of the largest estimates it
-        # held; decide on an exact one, renewed as the heap doubles, and
-        # on a goal no finer than the roundoff of the values
         n = len(heap)
-        if err_sum <= goal or n & (n - 1) == 0:
+        if err_sum <= goal or n >= renew:
             err_sum = math.fsum([-p[0] for p in heap])
             goal = _goal(tol, math.fsum([p[3] for p in heap]))
+            renew = 1 << n.bit_length()
             if err_sum <= goal:
                 break
-        neg_err, _, _, _, depth, rule, x_of, lo, left, mid, hi, right = \
-            heapq.heappop(heap)
-        if depth == _DEPTH_CAP:
-            fail(f"depth cap {_DEPTH_CAP} reached", x_of, lo, hi)
-        if n >= cap:
-            fail("segment cap reached", x_of, lo, hi)
-        m = 0.5 * (lo + hi)
-        err_sum += (neg_err + push(rule, x_of, depth + 1, lo, left, m, mid,
-                                   rule(lo, left, m, mid))
-                    + push(rule, x_of, depth + 1, m, mid, hi, right,
-                           rule(m, mid, hi, right)))
-    return [(p[7], p[10], p[2]) for p in heap], err_sum
+        floor = -_ROUND_FLOOR * heap[0][0]
+        left_sum = err_sum
+        popped = []
+        while (heap and left_sum > goal and n + len(popped) < renew
+               and (not popped or -heap[0][0] >= floor)):
+            neg_err, _, _, _, depth, segment, mid = heapq.heappop(heap)
+            if depth == _DEPTH_CAP:
+                fail(f"depth cap {_DEPTH_CAP} reached", segment)
+            if n + len(popped) >= cap:
+                fail("segment cap reached", segment)
+            left_sum += neg_err
+            popped.append((neg_err, depth + 1, segment, mid))
+        children = []
+        for _, _, (lo, hi, key, left, right), mid in popped:
+            m = 0.5 * (lo + hi)
+            children += [(lo, m, key, left, mid), (m, hi, key, mid, right)]
+        rows = evaluated(children)
+        for neg_err, depth, _, _ in popped:
+            err_sum += (neg_err + push(depth, *next(rows))
+                        + push(depth, *next(rows)))
+    return [(p[5][0], p[5][1], p[2]) for p in heap], err_sum
 
 
 def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
@@ -456,10 +548,16 @@ def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
     at the integration endpoints (including jumps at +-inf) contribute
     the endpoint correction terms; the continuous monotone remainder is
     integrated by Chebyshev-Lobatto panels, in x on a finite piece and in
-    the compact chart on one with an infinite end.  One run of _refine
-    holds the panels of every piece, bisected until the estimates sum to
-    tol/10, or to _ROUNDOFF of the summed |panel values| if coarser; it
-    raises BudgetExceeded past _RS_SEGMENT_CAP segments.
+    the compact chart on one with an infinite end.  One run of _refine,
+    with one _StieltjesRule, holds the panels of every piece and bisects
+    them in rounds: each round bisects the worst panels at once, reads F
+    at all their nodes in one array call and each piece's G at its own,
+    until the estimates sum to tol/10, or to _ROUNDOFF of the summed
+    |panel values| if coarser.  Each round bisects only panels that one
+    panel at a time would bisect too, while the goal stays the same.  A
+    call of F or of a piece of g at a node that raises one of
+    errors.UNDEFINED reads as NaN, and a non-finite panel raises
+    BudgetExceeded, as a run past _RS_SEGMENT_CAP segments does.
     """
     if a > b:
         raise IntervalEmpty(f"rs_integral over [{a}, {b}]")
@@ -475,7 +573,7 @@ def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
         if a < p < b:
             total += F(p) * (g.right_limit(p) - g.left_limit(p))
 
-    segments = []
+    pieces, charts, segments = [], [], []
     for piece in g.pieces:
         lo = max(piece.lo, a)
         hi = min(piece.hi, b)
@@ -485,9 +583,12 @@ def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
         left, right = (F(lo), ga), (F(hi), gb)
         if ga == gb:
             continue  # flat piece
-        x_of, u_of = ((float, float) if math.isfinite(hi - lo)
-                      else (decompactify, compactify))
-        segments.append((partial(_panel, F, piece.value, x_of), x_of,
-                         u_of(lo), left, u_of(hi), right))
-    panels, _ = _refine(segments, tol, "Stieltjes", _RS_SEGMENT_CAP)
+        chart = not math.isfinite(hi - lo)
+        u_of = compactify if chart else float
+        segments.append((u_of(lo), u_of(hi), len(pieces), left, right))
+        pieces.append(piece)
+        charts.append(chart)
+    rule = _StieltjesRule(F, pieces, charts)
+    panels, _ = _refine(rule, segments, tol, "Stieltjes", rule.x_of,
+                        _RS_SEGMENT_CAP)
     return total + math.fsum(value for _, _, value in panels)

@@ -385,12 +385,6 @@ def extremes(F: ContinuousFunctionBar) -> tuple[float, float]:
     return F._extremes
 
 
-def sup_norm(F: ContinuousFunctionBar) -> float:
-    """max over the extended real line of |F|, endpoint limits included."""
-    hi, lo = extremes(F)
-    return max(abs(hi), abs(lo))
-
-
 # ---------------------------------------------------------------------------
 # compactly supported test functions, smooth off their center
 

@@ -5,7 +5,8 @@ builds primitives, each as a table of Chebyshev series, one row per
 segment, so that evaluating a primitive calls no integrand.  Each table
 also has an array form (see cfun), one vectorised pass over all points
 that equals the scalar evaluator bit for bit.  Both tables come from
-the same 20-node Gauss segment rule, bisected by bv's worst-first loop.
+the same 20-node Gauss segment rule, bisected by bv's worst-first loop,
+which evaluates a round of segments in one pass of the rule.
 One scan of the integrand's sign changes picks the path.  For
 oscillatory integrands whose cumulative integral converges
 conditionally (the interesting case), the integrand is partitioned at
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from operator import itemgetter
 
@@ -164,35 +166,29 @@ class HakeResult:
     defect_bound: float
 
 
-def _gauss_panels(h, los, his):
+def _gauss_panels(h, los, his, *ends):
     """The Gauss segment rule of both tables, on k segments [lo, hi] at
-    once: h at the 20 nodes of each, read by cfun._many (h's array form
-    where it has one, else one loop of calls, a call that raises reading
-    as NaN, as in the scan), then one array pass.  Row i is a table
-    row: the antiderivative, vanishing at lo, of the interpolant through
-    h at the nodes of segment i.  Its estimate is half the width times
-    the interpolant's last two coefficients, and its scale half the
-    width times the summed |h| at the nodes.  The nodes are interior, so
-    h is never evaluated at an end.  At k = 1 the products are BLAS
-    matrix-vector products; at k >= 2 they are matrix-matrix products,
-    whose rows can differ in their last bits."""
+    once, in the form bv._refine takes: h at the 20 nodes of each, read
+    by cfun._many (h's array form where it has one, else one loop of
+    calls, a call that raises reading as NaN, as in the scan), then one
+    array pass.  Row i is a table row: the antiderivative, vanishing at
+    lo, of the interpolant through h at the nodes of segment i.  Its
+    estimate is half the width times the interpolant's last two
+    coefficients, and its scale half the width times the summed |h| at
+    the nodes.  The nodes are interior, so h is never evaluated at an
+    end, and the segments carry no end states: ends are not read, and
+    there are no midpoint states.  The products are stacked
+    matrix-vector products, one BLAS call per segment, so a row's bits
+    do not depend on the segments evaluated with it."""
     lo = np.array(los, dtype=float)
     half = 0.5 * (np.array(his, dtype=float) - lo)
     xs = lo[:, None] + half[:, None] * _GAUSS_SPAN
     vals = _many(h, xs.ravel()).reshape(xs.shape)
-    c = _GAUSS_INTERPOLANT @ vals.T
-    return (((_GAUSS_ANTIDERIVATIVE @ vals.T) * half).T.copy(),
-            half * (np.abs(c[-2]) + np.abs(c[-1])),
-            half * np.abs(vals).sum(axis=1))
-
-
-def _gauss_rule(h):
-    """_gauss_panels at k = 1, in the form bv._refine takes: the value
-    is the row, and segments carry no end values."""
-    def rule(lo, left, hi, right):
-        rows, est, scale = _gauss_panels(h, (lo,), (hi,))
-        return rows[0], float(est[0]), float(scale[0]), None
-    return rule
+    c = np.matmul(_GAUSS_INTERPOLANT, vals[:, :, None])[:, -2:, 0]
+    return (np.matmul(_GAUSS_ANTIDERIVATIVE, vals[:, :, None])[:, :, 0]
+            * half[:, None],
+            half * (np.abs(c[:, 0]) + np.abs(c[:, 1])),
+            half * np.abs(vals).sum(axis=1), None)
 
 
 def _batch_size(areas, allowed: int) -> int:
@@ -237,7 +233,7 @@ def _oscillatory_total(integrand, start, zeros, tol):
     being accumulated until one drops below _DEFECT_TARGET, which bounds
     the tail-model defect of the stored primitive.
     """
-    rule = _gauss_rule(integrand)
+    rule = partial(_gauss_panels, integrand)
     zeros = iter(zeros)
     table = []
     areas = []
@@ -250,7 +246,7 @@ def _oscillatory_total(integrand, start, zeros, tol):
     while his := list(islice(zeros, 1 if total is None else _batch_size(
             areas, _MAX_LOBES - len(sums)))):
         los = [lo] + his[:-1]
-        rows, err, scale = _gauss_panels(integrand, los, his)
+        rows, err, scale, _ = rule(los, his)
         met = np.isfinite(err + scale) & (err <= _goal(tol, scale))
         row_areas = rows.sum(axis=1).tolist()
         for i, hi in enumerate(his):
@@ -258,9 +254,9 @@ def _oscillatory_total(integrand, start, zeros, tol):
                 segments, area = [(los[i], hi, rows[i])], row_areas[i]
             else:
                 segments, _ = _refine(
-                    [(rule, float, los[i], None, hi, None)], tol, "lobe",
-                    _SEGMENT_CAP - len(table),
-                    [(rows[i], float(err[i]), float(scale[i]), None)])
+                    rule, [(los[i], hi, None, None, None)], tol, "lobe",
+                    lambda _, x: x, _SEGMENT_CAP - len(table),
+                    (rows[i:i + 1], err[i:i + 1], scale[i:i + 1], None))
                 area = math.fsum(float(row.sum()) for _, _, row in segments)
             table += segments
             areas.append(area)
@@ -307,8 +303,10 @@ def _settled_table(integrand, a: float, tol: float):
         x = decompactify(u)
         return integrand(x) * (1.0 + abs(x)) ** 2
 
-    segments, err = _refine([(_gauss_rule(H), decompactify, compactify(a),
-                              None, 1.0, None)], tol, "settled", _SEGMENT_CAP)
+    segments, err = _refine(partial(_gauss_panels, H),
+                            [(compactify(a), 1.0, None, None, None)], tol,
+                            "settled", lambda _, u: decompactify(u),
+                            _SEGMENT_CAP)
     # compactify can fall by one ulp just above a: the first segment
     # extrapolates there
     at_u, total = _primitive_table(segments)
@@ -325,7 +323,7 @@ def hake_from_integrand(integrand, a: float = 0.0,
     """Primitive of an integrand on [a, inf), extended by 0 left of a.
 
     Both paths interpolate h at the 20 Gauss-Legendre nodes of a
-    segment (_gauss_rule) and bisect the segment with the largest
+    segment (_gauss_panels) and bisect the segment with the largest
     estimate, in bv's loop, until the estimates sum to tol/10, floored at
     the roundoff of the values.  One scan of h (_scan_sign_changes)
     picks the path: if it ends before the lobe loop stops, h keeps its
@@ -341,12 +339,11 @@ def hake_from_integrand(integrand, a: float = 0.0,
     (see _batch_size).  Where the areas decay, the integrand calls are
     those of one lobe at a time; a pass that reads past the stopping
     lobe, as it can where they do not, drops the lobes after it.  The
-    rows after the settle point can differ in their last bits from
-    those of one lobe at a time, as BLAS matrix-matrix products differ
-    from matrix-vector ones; the total is fixed before the first pass
-    of many lobes.  The lobe boundary where the loop stopped is the
-    cutoff: the table holds every lobe before it, and past it the stored
-    primitive follows a smooth decaying tail model.  h is read at the
+    table rows are those of one lobe at a time, bit for bit: a pass
+    stacks the products one panel makes alone.  The lobe boundary where
+    the loop stopped is the cutoff: the table holds every lobe before
+    it, and past it the stored primitive follows a smooth decaying tail
+    model.  h is read at the
     nodes through its array form where it carries one (see cfun._many).
     A non-finite value of h at a node (a call that raises one of
     errors.UNDEFINED reads as NaN), a segment past bv's depth cap, or a

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .cfun import (DEFAULT_TOL, ContinuousFunctionBar, build_continuous,
-                   extremes, sup_norm, _with_many)
+                   extremes, _with_many)
 from .errors import DomainError, IntervalEmpty
 
 _EQUALITY_GRID = 1025
@@ -92,9 +92,9 @@ def norm(f: Distribution, kind: NormKind = NormKind.ALEXIEWICZ) -> float:
     dual_bv_lower   max(sup F, -inf F), the lower bound for the dual
                     pairing norm obtained from half-line indicators
     """
-    if kind is NormKind.ALEXIEWICZ:
-        return sup_norm(f.primitive)
     hi, lo = extremes(f.primitive)
+    if kind is NormKind.ALEXIEWICZ:
+        return max(abs(hi), abs(lo))
     if kind is NormKind.INTERVAL_SUP:
         return hi - lo
     if kind is NormKind.DUAL_BV_LOWER:

@@ -259,6 +259,14 @@ class TestRsIntegral:
         with pytest.raises(BudgetExceeded, match="non-finite"):
             rs_integral(F, g, NEG_INF, 1.0)
 
+    def test_raising_kernel_raises_typed_error(self):
+        # a piece of g read at the panel nodes through cfun._many: a call
+        # that raises one of errors.UNDEFINED reads as NaN, like F's
+        g = monotone(lambda x: x / (abs(x - 0.5) > 0.05), -math.inf,
+                     math.inf)
+        with pytest.raises(BudgetExceeded, match="non-finite"):
+            rs_integral(self._arctan(), g, 0.0, 1.0)
+
     def test_depth_cap_names_the_panel(self):
         # a jump in F at 0.3 cannot be resolved to 1e-16 by bisection
         F = ContinuousFunctionBar(lambda x: 1.0 if x > 0.3 else 0.0,

@@ -11,10 +11,11 @@ from cpint.cfun import (_AUDIT_GRID, _DEPTH_CAP, _INTERVAL_GRID,
                         DEFAULT_TOL, ContinuousFunctionBar, _audit_grid,
                         _tail_limit,
                         audit_on_interval, build_continuous, bump,
-                        delta_sequence, extremes, sup_norm)
+                        delta_sequence, extremes)
 from cpint.chart import decompactify, decompactify_many, u_grid
 from cpint.errors import BudgetExceeded, NoLimitAtInfinity, NotContinuous
-from cpint.space import distribution_from_evaluator, hake_extend
+from cpint.space import (Distribution, distribution_from_evaluator,
+                         hake_extend, norm)
 
 
 class TestBuildContinuous:
@@ -84,7 +85,8 @@ class TestExtremes:
         F = ContinuousFunctionBar(
             lambda x: math.sin(x) * math.exp(-x * x), 0.0, 0.0)
         # max of sin(x) exp(-x^2): frozen from dense scan
-        assert sup_norm(F) == pytest.approx(0.39665296108547105, abs=1e-10)
+        assert norm(Distribution(F)) == pytest.approx(0.39665296108547105,
+                                                      abs=1e-10)
 
     @pytest.mark.parametrize("fn,limit_pos,hi,lo,calls", [
         (lambda x: math.sin(x) * math.exp(-x * x), 0.0,
@@ -544,7 +546,7 @@ class TestGridTables:
         got = extremes(F)
         del seen[:]
         assert extremes(F) == got
-        assert sup_norm(F) == max(abs(v) for v in got)
+        assert norm(Distribution(F)) == max(abs(v) for v in got)
         assert seen == []
 
     @pytest.mark.parametrize("limit_pos", [0.0, math.nan])
@@ -562,7 +564,7 @@ class TestGridTables:
                                match=re.escape(f"undefined at x={x!r}")):
                 extremes(F)
         with pytest.raises(BudgetExceeded, match=re.escape(f"x={x!r}")):
-            sup_norm(F)
+            norm(Distribution(F))
 
     def test_extremes_names_undefined_limit(self):
         F = ContinuousFunctionBar(math.atan, -math.pi / 2, math.nan)

@@ -2,13 +2,12 @@
 
 The reference is the lobe loop as it was before lobes were batched: each
 lobe is one run of bv._refine from scratch, with a rule that evaluates
-one 20-node Gauss panel through matrix-vector products.  The batched loop
-takes the lobes after the settle point many at a time, through
-matrix-matrix products, so its table rows may move in their last bits;
-the total is fixed before batching starts.  Against the reference it
-must make the same integrand calls and return the same total, cutoff and
-lobe count bit for bit, with table values within _ULPS ulps, and raise
-the same errors.
+one 20-node Gauss panel after another through matrix-vector products.
+The batched loop takes the lobes after the settle point many at a time,
+through stacked matrix-vector products, one per panel.  Against the
+reference it must make the same integrand calls and return the same
+total, cutoff and lobe count bit for bit, with table values within _ULPS
+ulps, and raise the same errors.
 """
 
 import math
@@ -24,9 +23,10 @@ from cpint.quadrature import (_ACCEL_TAIL, _DEFECT_TARGET, _MAX_LOBES,
                               _primitive_table, _scan_sign_changes,
                               epsilon_limit, hake_from_integrand)
 
-# the worst seen was 18 ulps of the reference value, over 2,000 points
-# of each of twelve seeded sin(a x^2) and sin(b x)/(1+x) cases
-_ULPS = 32
+# a stacked product runs the BLAS call of one panel alone, so the rows
+# keep their bits; through matrix-matrix products they moved by up to 18
+# ulps of the reference value
+_ULPS = 0
 
 
 # -- the reference: one lobe at a time ---------------------------------------
@@ -37,14 +37,20 @@ _ANTIDERIVATIVE = chebyshev.chebint(_INTERPOLANT, lbnd=-1)
 
 
 def ref_gauss_rule(h):
-    def rule(lo, left, hi, right):
+    """The Gauss rule in the form bv._refine takes, one segment after
+    another through matrix-vector products."""
+    def panel(lo, hi):
         half = 0.5 * (hi - lo)
         vals = np.array([h(x) for x in
                          (lo + half * (_NODES + 1.0)).tolist()], dtype=float)
         c = _INTERPOLANT @ vals
         return (half * (_ANTIDERIVATIVE @ vals),
                 float(half * (abs(c[-2]) + abs(c[-1]))),
-                half * float(np.abs(vals).sum()), None)
+                half * float(np.abs(vals).sum()))
+
+    def rule(los, his, *ends):
+        rows, errs, scales = zip(*map(panel, los, his))
+        return rows, errs, scales, None
     return rule
 
 
@@ -55,8 +61,9 @@ def ref_oscillatory_total(integrand, start, zeros, tol):
     lo = start
     rule = ref_gauss_rule(integrand)
     for z in zeros:
-        segments, _ = _refine([(rule, float, lo, None, z, None)], tol,
-                              "lobe", _SEGMENT_CAP - len(table))
+        segments, _ = _refine(rule, [(lo, z, None, None, None)], tol,
+                              "lobe", lambda key, x: x,
+                              _SEGMENT_CAP - len(table))
         area = math.fsum(float(row.sum()) for _, _, row in segments)
         table += segments
         areas.append(area)

@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -8,11 +9,13 @@ from scipy import special
 
 from cpint.bv import _refine
 from cpint.errors import BudgetExceeded, NoLimitAtInfinity
-from cpint.quadrature import (_SCAN_STEPS, _SEGMENT_CAP, _gauss_rule,
+from cpint.quadrature import (_SCAN_STEPS, _SEGMENT_CAP, _gauss_panels,
                               _primitive_table, _scan_sign_changes,
                               epsilon_limit, hake_from_integrand)
 
 FRESNEL_TOTAL = 0.6266570686577501   # sqrt(pi) / 2^(3/2)
+# integrand calls that a depth-cap raise of the settled path may cost
+_FAILURE_CALLS = 2_000
 SI_TOTAL = math.pi / 2.0
 
 
@@ -26,8 +29,9 @@ class TestGaussSegment:
         p = np.polynomial.Polynomial(
             np.random.default_rng(7).uniform(-1.0, 1.0, 20))
         P = p.integ(lbnd=-1.0)
-        segments, _ = _refine([(_gauss_rule(p), float, -1.0, None, 2.0,
-                                None)], 1e-10, "segment", 64)
+        segments, _ = _refine(partial(_gauss_panels, p),
+                              [(-1.0, 2.0, None, None, None)], 1e-10,
+                              "segment", lambda key, x: x, 64)
         assert len(segments) > 1
         F, total = _primitive_table(segments)
         scale = np.abs(P(np.linspace(-1.0, 2.0, 301))).max()
@@ -268,12 +272,20 @@ class TestHakeSettled:
     def test_slow_or_divergent_tail_raises(self, h):
         # (1+x)^(-3/2) has total 2 but decays too slowly for the chart's
         # end segment; 1/(1+x) has no total.  The error names the end
-        # segment in x, [2^40 - 1, inf], not in u
+        # segment in x, [2^40 - 1, inf], not in u.  The scan's 121 calls
+        # and 81 segments of 20 calls bisect it to the depth cap: 1,741
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return h(x)
+
         with pytest.raises(BudgetExceeded, match="depth cap") as info:
-            hake_from_integrand(h)
+            hake_from_integrand(counted)
         lo, hi = (float(v) for v in re.search(
             r"x in \[([^,]+), ([^\]]+)\]", str(info.value)).groups())
         assert (lo, hi) == (2.0 ** 40 - 1.0, math.inf)
+        assert calls[0] <= _FAILURE_CALLS
 
     def test_large_integrand_stops(self):
         # 1e8 exp(-x^2) carries roundoff near 1e-8, far above the default
@@ -323,11 +335,20 @@ class TestHakeSettled:
         # a to tol.  The Gauss nodes never evaluate h at a itself; only
         # the scan does, and it reads the infinite value, or the
         # ZeroDivisionError of the math form, as no sign change
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return h(x)
+
         with np.errstate(divide="ignore"), \
                 pytest.raises(BudgetExceeded, match="depth cap") as info:
-            hake_from_integrand(h)
+            hake_from_integrand(counted)
         assert str(info.value).endswith(
             f"x in [0.0, {2.0 ** -40 / (1.0 - 2.0 ** -40)!r}]")
+        # 1,821 calls when segments were bisected one at a time, 1,861 in
+        # rounds
+        assert calls[0] <= _FAILURE_CALLS
 
 
 class TestArrayForm:
