@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import count, repeat
+from itertools import compress, count, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -27,8 +27,8 @@ from numpy.polynomial import legendre
 
 from .chart import (INF, NEG_INF, compactify, decompactify,
                     decompactify_many, golden_max)
-from .cfun import _ROUNDOFF, ContinuousFunctionBar, _many, _safe
-from .errors import BudgetExceeded, IntervalEmpty, MalformedPieces
+from .cfun import _ROUNDOFF, ContinuousFunctionBar, _many
+from .errors import UNDEFINED, BudgetExceeded, IntervalEmpty, MalformedPieces
 
 _MONO_SAMPLES = 65
 _MONO_SLACK = 1e-12
@@ -370,13 +370,13 @@ class _StieltjesRule:
     shared end.  A call reads F once at the interior nodes of all k
     segments, through eval_many (cfun._many for a plain callable), and G
     at each node as Piece.value reads it: its piece's end limits beyond
-    the piece, and its fn inside, through cfun._many where the segments
-    share one piece and by one loop of cfun._safe calls where they do
-    not.  Every product is a stack of the products one panel makes
-    alone (np.matmul runs one BLAS call per stacked panel), so a panel's
-    bits do not depend on the panels it is evaluated with.  A segment on
-    a flat stretch of G contributes nothing: its value is None and no
-    node of it is read."""
+    the piece, and its fn inside, by one loop over the segments and
+    their nodes that reads a raised errors.UNDEFINED as NaN, as
+    cfun._many does.  Every product is a stack of the products one
+    panel makes alone (np.matmul runs one BLAS call per stacked panel),
+    so a panel's bits do not depend on the panels it is evaluated with.
+    A segment on a flat stretch of G contributes nothing: its value is
+    None and no node of it is read."""
 
     def __init__(self, F, pieces, charts):
         self.F_many = (F.eval_many if isinstance(F, ContinuousFunctionBar)
@@ -414,12 +414,16 @@ class _StieltjesRule:
         lo, hi, lo_val, hi_val = self.ends[list(keys)].T[:, :, None]
         g = np.where(xs <= lo, lo_val, hi_val)
         inside = (lo < xs) & (xs < hi)
-        fns = [self.pieces[p].fn for p in keys]
-        if keys.count(keys[0]) == len(keys):
-            g[inside] = _many(fns[0], xs[inside])
-        else:
-            g[inside] = [_safe(fns[i], x) for i, x in zip(
-                np.nonzero(inside)[0].tolist(), xs[inside].tolist())]
+        gs = []
+        append = gs.append
+        for fn, row, keep in zip((self.pieces[p].fn for p in keys),
+                                 xs.tolist(), inside.tolist()):
+            for x in compress(row, keep):
+                try:
+                    append(fn(x))
+                except UNDEFINED:
+                    append(math.nan)
+        g[inside] = gs
         fg[:, 1, 1:-1] = g
         with np.errstate(all="ignore"):
             # centred on the middle node, the product's roundoff scales

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpint import bv
-from cpint.bv import (BVFunction, Piece, blocks, constant, from_callable,
-                      from_knots, heaviside, indicator, monotone,
-                      normalize_nbv, rs_integral, variation)
+from cpint.bv import (BVFunction, Piece, blocks, constant, cut_at,
+                      from_callable, from_knots, heaviside, indicator,
+                      monotone, normalize_nbv, rs_integral, variation)
 from cpint.cfun import ContinuousFunctionBar, bump
 from cpint.chart import INF, NEG_INF, compactify, decompactify
 from cpint.errors import BudgetExceeded, IntervalEmpty, MalformedPieces
@@ -260,12 +260,14 @@ class TestRsIntegral:
             rs_integral(F, g, NEG_INF, 1.0)
 
     def test_raising_kernel_raises_typed_error(self):
-        # a piece of g read at the panel nodes through cfun._many: a call
-        # that raises one of errors.UNDEFINED reads as NaN, like F's
-        g = monotone(lambda x: x / (abs(x - 0.5) > 0.05), -math.inf,
-                     math.inf)
-        with pytest.raises(BudgetExceeded, match="non-finite"):
-            rs_integral(self._arctan(), g, 0.0, 1.0)
+        # a piece of g read at the panel nodes: a call that raises one of
+        # errors.UNDEFINED reads as NaN, like F's, whether the round
+        # holds one piece of g or several
+        fn = lambda x: x / (abs(x - 0.5) > 0.05)
+        for g in (monotone(fn, -math.inf, math.inf),
+                  cut_at(fn, [0.0, 0.25, 1.0])):
+            with pytest.raises(BudgetExceeded, match="non-finite"):
+                rs_integral(self._arctan(), g, 0.0, 1.0)
 
     def test_depth_cap_names_the_panel(self):
         # a jump in F at 0.3 cannot be resolved to 1e-16 by bisection
