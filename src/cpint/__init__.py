@@ -14,7 +14,7 @@ from .bv import (BVFunction, Piece, blocks, constant, from_callable,
                  from_knots, heaviside, indicator, monotone, normalize_nbv,
                  rs_integral, variation)
 from .cfun import (ContinuousFunctionBar, TestFunction, build_continuous,
-                   bump, delta_sequence, extremes)
+                   bump, extremes)
 from .chart import INF, NEG_INF, compactify, decompactify, parse_extended
 from .convergence import (ConvergenceReport, DistributionSequence, Verdict,
                           quasi_uniform_check, strong_distance,

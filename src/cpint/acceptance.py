@@ -84,7 +84,7 @@ def _criterion_2(tol: float) -> tuple[bool, str]:
     dt = time.perf_counter() - t0
     err = abs(h.total - _FRESNEL)
     ok = err <= 1e-6 and dt < 10.0
-    return ok, f"err {err:.2e} in {dt:.2f}s ({h.lobes_used} lobes)"
+    return ok, f"err {err:.2e} ({h.lobes_used} lobes)"
 
 
 def _criterion_3(tol: float) -> tuple[bool, str]:

@@ -18,7 +18,6 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress, count, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -26,12 +25,13 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .chart import (INF, NEG_INF, compactify, decompactify,
-                    decompactify_many, golden_max)
-from .cfun import _ROUNDOFF, ContinuousFunctionBar, _many
+                    decompactify_many, refined_extrema)
+from .cfun import _ROUNDOFF, ContinuousFunctionBar, _safe
 from .errors import UNDEFINED, BudgetExceeded, IntervalEmpty, MalformedPieces
 
 _MONO_SAMPLES = 65
 _MONO_SLACK = 1e-12
+_CUT_SAMPLES = 2049     # uniform points in u sampled by from_callable
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,14 @@ class Piece:
     hi_val: float
 
     def value(self, x: float) -> float:
-        """fn(x) inside the piece; the stored end limits at and beyond
-        its ends."""
+        """fn(x) inside the piece, read through cfun._safe, so that a
+        call raising one of errors.UNDEFINED reads as NaN; the stored end
+        limits at and beyond its ends."""
         if x <= self.lo:
             return self.lo_val
         if x >= self.hi:
             return self.hi_val
-        return self.fn(x)
+        return _safe(self.fn, x)
 
     def rise(self) -> float:
         return abs(self.hi_val - self.lo_val)
@@ -251,55 +252,43 @@ def cut_at(fn: Callable[[float], float],
     """fn cut into pieces at strictly increasing finite knots, constant
     beyond the first and last: the shape of the library's own kernels,
     whose extrema are known."""
-    vals = [fn(k) for k in knots]
+    return _cut(fn, knots, [fn(k) for k in knots])
+
+
+def _cut(fn: Callable[[float], float], knots: Sequence[float],
+         vals: Sequence[float]) -> BVFunction:
+    """fn cut at strictly increasing knots, where it takes the values
+    vals, and constant beyond a finite first or last knot."""
+    ends = [(NEG_INF, knots[0], vals[0]), (knots[-1], INF, vals[-1])]
     return BVFunction(
-        [_const_piece(NEG_INF, knots[0], vals[0])]
-        + [Piece(a, b, fn, va, vb)
-           for a, b, va, vb in zip(knots, knots[1:], vals, vals[1:])]
-        + [_const_piece(knots[-1], INF, vals[-1])])
+        [Piece(a, b, fn, va, vb)
+         for a, b, va, vb in zip(knots, knots[1:], vals, vals[1:])]
+        + [_const_piece(*end) for end in ends if end[0] < end[1]])
 
 
 def from_callable(fn: Callable[[float], float], lo: float, hi: float,
-                  limit_lo: float, limit_hi: float,
-                  samples: int = 2049) -> BVFunction:
+                  limit_lo: float, limit_hi: float) -> BVFunction:
     """Split a sampled continuous function on [lo, hi] into monotone
     pieces at numerically located extrema; constant outside [lo, hi].
 
     A fallback for user kernels whose extrema have no closed form; the
-    library's own kernels are cut at their extrema directly.  The sample
-    count must resolve every oscillation of fn on [lo, hi]: the samples
-    are uniform in the compact chart, so they thin out as |x| grows.
+    library's own kernels are cut at their extrema directly.  fn is
+    sampled at _CUT_SAMPLES points uniform in the compact chart, which
+    must resolve every oscillation of fn on [lo, hi]: they thin out as
+    |x| grows.  The cuts are the sampled turning points, each refined in
+    the chart by chart.refined_extrema, which reads fn at finite x in
+    [lo, hi] only and returns the value at the cut.
     """
     ua, ub = compactify(lo), compactify(hi)
-    xs = [decompactify(ua + (ub - ua) * i / (samples - 1))
-          for i in range(samples)]
-    if math.isfinite(lo):
-        xs[0] = lo
-    if math.isfinite(hi):
-        xs[-1] = hi
-    vs = [limit_lo if not math.isfinite(x) else fn(x) for x in xs]
-    vs[-1] = limit_hi if not math.isfinite(xs[-1]) else vs[-1]
-
-    # cut at the refined extremum around each sampled slope-sign change
-    cuts = []
-    for i in range(1, len(xs) - 1):
-        if (vs[i] - vs[i - 1]) * (vs[i + 1] - vs[i]) < 0.0:
-            sgn = 1.0 if vs[i] > vs[i - 1] else -1.0  # local max vs min
-            cuts.append(golden_max(lambda x: sgn * fn(x),
-                                   xs[i - 1], xs[i + 1])[0])
-    pieces = []
-    prev = lo
-    prev_val = limit_lo
-    for k in cuts:
-        if k == prev:   # refined onto the last cut or onto lo
-            continue
-        v = fn(k)
-        pieces.append(Piece(prev, k, fn, prev_val, v))
-        prev, prev_val = k, v
-    pieces.append(Piece(prev, hi, fn, prev_val, limit_hi))
-    head = [_const_piece(NEG_INF, lo, limit_lo)] if math.isfinite(lo) else []
-    tail = [_const_piece(hi, INF, limit_hi)] if math.isfinite(hi) else []
-    return BVFunction(head + pieces + tail)
+    us = ua + (ub - ua) * np.arange(_CUT_SAMPLES) / (_CUT_SAMPLES - 1)
+    vs = ([fn(lo) if math.isfinite(lo) else limit_lo]
+          + [fn(x) for x in decompactify_many(us[1:-1]).tolist()]
+          + [fn(hi) if math.isfinite(hi) else limit_hi])
+    x_of = lambda u: min(max(decompactify(u), lo), hi)
+    cuts = refined_extrema(lambda u: fn(x_of(u)), us, np.array(vs), set(),
+                           0.0)
+    return _cut(fn, [lo] + [x_of(t) for t, _ in cuts] + [hi],
+                [limit_lo] + [v for _, v in cuts] + [limit_hi])
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +357,18 @@ class _StieltjesRule:
     piece with an infinite end, in the compact chart; its ends carry the
     pair (F, G) there, and the middle node's pair is the children's
     shared end.  A call reads F once at the interior nodes of all k
-    segments, through eval_many (cfun._many for a plain callable), and G
-    at each node as Piece.value reads it: its piece's end limits beyond
-    the piece, and its fn inside, by one loop over the segments and
-    their nodes that reads a raised errors.UNDEFINED as NaN, as
-    cfun._many does.  Every product is a stack of the products one
-    panel makes alone (np.matmul runs one BLAS call per stacked panel),
-    so a panel's bits do not depend on the panels it is evaluated with.
+    segments, through F.eval_many, and G at each node as Piece.value
+    reads it: its piece's end limits beyond the piece, and its fn inside,
+    by one loop over the segments and their nodes that reads a raised
+    errors.UNDEFINED as NaN, as cfun._safe does.  Every product is a
+    stack of the products one panel makes alone (np.matmul runs one BLAS
+    call per stacked panel), so a panel's bits do not depend on the
+    panels it is evaluated with.
     A segment on a flat stretch of G contributes nothing: its value is
     None and no node of it is read."""
 
     def __init__(self, F, pieces, charts):
-        self.F_many = (F.eval_many if isinstance(F, ContinuousFunctionBar)
-                       else partial(_many, F))
+        self.F_many = F.eval_many
         self.pieces = pieces
         self.ends = np.array([(p.lo, p.hi, p.lo_val, p.hi_val)
                               for p in pieces])
@@ -559,23 +547,27 @@ def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
     until the estimates sum to tol/10, or to _ROUNDOFF of the summed
     |panel values| if coarser.  Each round bisects only panels that one
     panel at a time would bisect too, while the goal stays the same.  A
-    call of F or of a piece of g at a node that raises one of
-    errors.UNDEFINED reads as NaN, and a non-finite panel raises
-    BudgetExceeded, as a run past _RS_SEGMENT_CAP segments does.
+    call of F or of a piece of g that raises one of errors.UNDEFINED
+    reads as NaN.  A non-finite panel, or a non-finite term at a nonzero
+    jump, raises BudgetExceeded, as a run past _RS_SEGMENT_CAP segments
+    does.
     """
     if a > b:
         raise IntervalEmpty(f"rs_integral over [{a}, {b}]")
     if a == b:
         return 0.0
 
+    # endpoint correction terms and interior jumps (exact)
+    jumps = [(a, g.right_limit(a) - g(a)), (b, g(b) - g.left_limit(b))]
+    jumps += [(p, g.right_limit(p) - g.left_limit(p))
+              for p in g.breakpoints if a < p < b]
     total = 0.0
-    # endpoint correction terms (exact)
-    total += F(a) * (g.right_limit(a) - g(a))
-    total += F(b) * (g(b) - g.left_limit(b))
-    # interior jumps
-    for p in g.breakpoints:
-        if a < p < b:
-            total += F(p) * (g.right_limit(p) - g.left_limit(p))
+    for x, jump in jumps:
+        # a zero jump adds nothing, even where F(x) is undefined
+        term = F(x) * jump
+        if jump and not math.isfinite(term):
+            raise BudgetExceeded(f"Stieltjes non-finite value at x={x!r}")
+        total += term if jump else 0.0
 
     pieces, charts, segments = [], [], []
     for piece in g.pieces:

@@ -435,11 +435,3 @@ def bump(center: float, width: float, amplitude: float = 1.0) -> TestFunction:
     """The standard bump, rescaled to the given center and width; C^inf
     except at the center, where phi' jumps (see TestFunction)."""
     return TestFunction(center, width, amplitude)
-
-
-def delta_sequence(x0: float, n: int) -> TestFunction:
-    """n-th element of a delta sequence at x0: unit mass, width 1/n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    width = 1.0 / n
-    return TestFunction(x0, width, amplitude=1.0 / (width * _PROFILE_MASS))

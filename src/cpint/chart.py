@@ -5,7 +5,8 @@ u = x / (1 + |x|), which maps [-inf, inf] onto [-1, 1] with a strictly
 increasing algebraic bijection.  Grids, audits and refinements all live
 in u; x-space values are recovered with :func:`decompactify`.  Each fixed
 grid is built once, by :func:`u_grid`, and the scan-and-refine kernel
-below does every grid refinement in the library.
+below does every grid refinement in the library, the turning points of
+``abs_norm`` and the cuts of ``bv.from_callable`` included.
 """
 
 from __future__ import annotations
@@ -127,6 +128,32 @@ def scan_max(fn, grid, vals, top_k: int) -> float:
         if lo < hi:
             best = max(best, golden_max(fn, lo, hi)[1])
     return best
+
+
+def refined_extrema(fn, grid, vals, done: set,
+                    floor: float) -> list[tuple[float, float]]:
+    """(t, fn(t)) from golden refinement of each turning point of the
+    chart partition (grid, vals = fn(grid)) that stands out of both
+    neighbours by more than floor and whose u is not in done.  The
+    bracket is the span between the two neighbours, clipped 1e-12 off
+    u = +-1; an extremum on an end of it is dropped.  Each turning point
+    refined and each extremum kept go into done, so neither is refined
+    again."""
+    steps = np.sign(np.diff(vals))
+    found = []
+    for i in (np.nonzero(steps[:-1] * steps[1:] < 0.0)[0] + 1).tolist():
+        u, left, right = float(grid[i]), float(grid[i - 1]), float(grid[i + 1])
+        swing = min(abs(vals[i] - vals[i - 1]), abs(vals[i + 1] - vals[i]))
+        if u in done or swing <= floor:
+            continue
+        done.add(u)
+        sgn = float(steps[i - 1])     # +1 at a maximum, -1 at a minimum
+        lo, hi = max(left, -1.0 + 1e-12), min(right, 1.0 - 1e-12)
+        t, w = golden_max(lambda v: sgn * fn(v), lo, hi)
+        if t not in done and t not in (left, right):
+            done.add(t)
+            found.append((t, sgn * w))
+    return found
 
 
 def scan_root(fn, grid, vals, tol: float) -> Optional[float]:

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cfun import DEFAULT_TOL, ContinuousFunctionBar
-from .chart import decompactify, golden_max, u_grid
+from .cfun import DEFAULT_TOL
+from .chart import decompactify, refined_extrema, u_grid
 from .errors import BudgetExceeded, DomainError
 from .space import Distribution, zero
 
@@ -26,7 +26,6 @@ _ABS_START_LEVEL = 4
 _ABS_MAX_LEVEL = 18
 _ABS_DIVERGENT_RUN = 8
 _ABS_GROWTH = 1e-3
-_ABS_EDGE = 1e-12
 
 
 class Order(enum.Enum):
@@ -111,32 +110,6 @@ def _variation_sum(vals: np.ndarray) -> float:
     return sum(np.abs(np.diff(vals)).tolist())
 
 
-def _refined_extrema(F: ContinuousFunctionBar, us: np.ndarray,
-                     vals: np.ndarray, done: set,
-                     floor: float) -> list[tuple[float, float]]:
-    """(t, F(t)) from golden refinement of each turning point of the
-    partition (us, vals) that stands out of both neighbours by more than
-    floor and whose u is not in done.  The bracket is the span between
-    the two neighbours, clipped 1e-12 off u = +-1.  Each turning point
-    refined and each extremum it gives go into done, so neither is
-    refined again."""
-    steps = np.sign(np.diff(vals))
-    found = []
-    for i in (np.nonzero(steps[:-1] * steps[1:] < 0.0)[0] + 1).tolist():
-        u, left, right = float(us[i]), float(us[i - 1]), float(us[i + 1])
-        swing = min(abs(vals[i] - vals[i - 1]), abs(vals[i + 1] - vals[i]))
-        if u in done or swing <= floor:
-            continue
-        done.add(u)
-        sgn = float(steps[i - 1])     # +1 at a maximum, -1 at a minimum
-        lo, hi = max(left, -1.0 + _ABS_EDGE), min(right, 1.0 - _ABS_EDGE)
-        t, w = golden_max(lambda v: sgn * F.at_u(v), lo, hi)
-        if t not in done and t not in (left, right):
-            done.add(t)
-            found.append((t, sgn * w))
-    return found
-
-
 def abs_norm(f: Distribution, tol: float = DEFAULT_TOL) -> AbsNormResult:
     """Variation of the primitive by partition sums over refined extrema.
 
@@ -175,7 +148,7 @@ def abs_norm(f: Distribution, tol: float = DEFAULT_TOL) -> AbsNormResult:
             raise BudgetExceeded(f"evaluator undefined inside abs_norm "
                                  f"partition at level {level}")
         cur = _variation_sum(vals)
-        found = _refined_extrema(F, us, vals, done, tol * (1.0 + cur))
+        found = refined_extrema(F.at_u, us, vals, done, tol * (1.0 + cur))
         if found:
             new_u, new_v = map(np.array, zip(*found))
             ext_u, ext_v = np.append(ext_u, new_u), np.append(ext_v, new_v)

@@ -126,18 +126,19 @@ def _scan_sign_changes(fn, start: float, first_step: float):
     """Generator of consecutive sign-change points of fn after start.  It
     ends after _SCAN_STEPS steps without a sign change; after the second
     zero a step is 0.35 of the last zero spacing.  A call of fn that
-    raises reads as NaN (cfun._safe); NaN makes no sign change.  Scan
-    points where fn is exactly 0 are passed over: a sign change across
-    them yields the first of them, with no search."""
+    raises, in the zero search too, reads as NaN (cfun._safe); NaN makes
+    no sign change.  Scan points where fn is exactly 0 are passed over: a
+    sign change across them yields the first of them, with no search."""
+    fn = partial(_safe, fn)
     t = x = start
-    v = _safe(fn, t)    # at t: start, or the last scan point where fn != 0
+    v = fn(t)   # at t: start, or the last scan point where fn != 0
     step = first_step
     last_z = first_0 = None
     quiet = 0
     while quiet < _SCAN_STEPS:
         quiet += 1
         x += step
-        v2 = _safe(fn, x)
+        v2 = fn(x)
         if v2 == 0.0:
             first_0 = x if first_0 is None else first_0
             continue

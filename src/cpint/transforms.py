@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .bv import BVFunction, Piece, constant, cut_at, monotone, rs_integral
-from .cfun import DEFAULT_TOL, _settled, _tail_limit
+from .cfun import DEFAULT_TOL, ContinuousFunctionBar, _settled, _tail_limit
 from .chart import INF, NEG_INF, illinois_zero
-from .errors import DomainError, NoLimitAtInfinity
+from .errors import BudgetExceeded, DomainError, NoLimitAtInfinity
 from .products import integral_product
 from .space import Distribution
 
@@ -217,11 +217,16 @@ def weighted_integral(F_loc, r: float, tol: float = DEFAULT_TOL) -> float:
     is where a divergent F_r (for F = e^(2x) at r = 1) still grows.  The
     samples must settle, by cfun's rule at sqrt(tol), and the value is
     F_r(x_8).  One sweep of rs_integral over [x_(k-1), x_k], each to
-    tol/10, builds the Stieltjes term.
+    tol/10, builds the Stieltjes term.  A call of F_loc that raises one
+    of errors.UNDEFINED reads as NaN; an undefined F(0) raises.
     """
     if r < 0.0:
         raise DomainError("weighted integral needs r >= 0")
-    F0 = F_loc(0.0)
+    # the limits at +-inf are never read on [0, cap]
+    F = ContinuousFunctionBar(F_loc, 0.0, 0.0)
+    F0 = F(0.0)
+    if not math.isfinite(F0):
+        raise BudgetExceeded(f"weighted integral: F(0.0) is {F0!r}")
     if r == 0.0:
         return _tail_limit(F_loc, +1, tol) - F0
     kernel = monotone(lambda t: -math.exp(-r * t), NEG_INF, 0.0)
@@ -230,9 +235,9 @@ def weighted_integral(F_loc, r: float, tol: float = DEFAULT_TOL) -> float:
     lo = stieltjes = 0.0
     for k in range(1, 9):
         x = cap * (1.0 - 2.0 ** -k)
-        stieltjes += rs_integral(F_loc, kernel, lo, x, tol)
+        stieltjes += rs_integral(F, kernel, lo, x, tol)
         lo = x
-        v = F_loc(x) * math.exp(-r * x) - F0 + stieltjes
+        v = F(x) * math.exp(-r * x) - F0 + stieltjes
         if not math.isfinite(v):
             raise NoLimitAtInfinity("weighted primitive overflows")
         samples.append((x, v))

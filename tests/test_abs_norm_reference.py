@@ -22,9 +22,8 @@ from cpint.cfun import DEFAULT_TOL, ContinuousFunctionBar
 from cpint.chart import golden_max, u_grid
 from cpint.errors import BudgetExceeded
 from cpint.fixtures import FIXTURES, random_distribution
-from cpint.lattice import (_ABS_DIVERGENT_RUN, _ABS_EDGE, _ABS_GROWTH,
-                           _ABS_MAX_LEVEL, _ABS_START_LEVEL, AbsNormResult,
-                           abs_norm, parts)
+from cpint.lattice import (_ABS_DIVERGENT_RUN, _ABS_GROWTH, _ABS_MAX_LEVEL,
+                           _ABS_START_LEVEL, AbsNormResult, abs_norm, parts)
 from cpint.space import Distribution
 
 
@@ -46,7 +45,7 @@ def _ref_extrema(F, us, vals, done, floor):
             continue
         done.add(u)
         sgn = float(steps[i - 1])
-        lo, hi = max(left, -1.0 + _ABS_EDGE), min(right, 1.0 - _ABS_EDGE)
+        lo, hi = max(left, -1.0 + 1e-12), min(right, 1.0 - 1e-12)
         t, w = golden_max(lambda v: sgn * F.at_u(v), lo, hi)
         if t not in done and t not in (left, right):
             done.add(t)

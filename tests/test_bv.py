@@ -269,6 +269,26 @@ class TestRsIntegral:
             with pytest.raises(BudgetExceeded, match="non-finite"):
                 rs_integral(self._arctan(), g, 0.0, 1.0)
 
+    def test_raising_primitive_at_a_jump_raises(self):
+        # F(0.3) reads as NaN, and g jumps there: the jump term is not a
+        # number, which must not come back as the integral
+        F = ContinuousFunctionBar(
+            lambda x: 1.0 / 0.0 if x == 0.3 else math.atan(x),
+            -math.pi / 2, math.pi / 2)
+        with pytest.raises(BudgetExceeded,
+                           match=r"non-finite value at x=0\.3$"):
+            rs_integral(F, indicator(0.3, INF), NEG_INF, INF)
+
+    def test_raising_kernel_at_an_end_raises(self):
+        # Piece.value reads the kernel at the end 0.5 of the integral
+        # through cfun._safe: NaN, not the kernel's ZeroDivisionError
+        g = monotone(lambda t: 1.0 / 0.0 if t == 0.5 else math.atan(t),
+                     -math.pi / 2, math.pi / 2)
+        assert math.isnan(g(0.5))
+        with pytest.raises(BudgetExceeded,
+                           match=r"non-finite value at x=0\.5$"):
+            rs_integral(self._arctan(), g, 0.5, 1.0)
+
     def test_depth_cap_names_the_panel(self):
         # a jump in F at 0.3 cannot be resolved to 1e-16 by bisection
         F = ContinuousFunctionBar(lambda x: 1.0 if x > 0.3 else 0.0,
@@ -309,7 +329,9 @@ class TestRsIntegral:
 
         g = monotone(lambda t: -math.exp(-r * t), NEG_INF, 0.0)
         L = (math.log(1e10) + 50.0) / r
-        assert rs_integral(quintic, g, 0.0, L) == pytest.approx(
+        # the limits at +-inf are never read on [0, L]
+        F = ContinuousFunctionBar(quintic, 0.0, 0.0)
+        assert rs_integral(F, g, 0.0, L) == pytest.approx(
             120.0 / r ** 5, rel=1e-12)
 
     def test_segment_cap_stops_a_stalled_run(self, monkeypatch):
@@ -351,7 +373,9 @@ class TestRsIntegral:
             return x ** 3
 
         g = monotone(lambda t: -math.exp(-0.1 * t), NEG_INF, 0.0)
-        assert rs_integral(cube, g, 0.0, 1000.0, tol) == pytest.approx(
+        # the limits at +-inf are never read on [0, 1000]
+        F = ContinuousFunctionBar(cube, 0.0, 0.0)
+        assert rs_integral(F, g, 0.0, 1000.0, tol) == pytest.approx(
             6000.0, rel=1e-14)
 
 
@@ -465,3 +489,22 @@ class TestFromCallable:
         # cos 7 past the window, so no jump there
         assert variation(g) == pytest.approx(
             4.0 + (1.0 - math.cos(7.0)), rel=1e-12)
+
+
+def test_from_callable_reads_fn_inside_its_interval_only():
+    # the cuts are refined in the chart, where the first sample u(lo)
+    # maps back to x just below this lo; sqrt(t - lo) is undefined there,
+    # and its peak lies between the first samples, whose bracket starts
+    # at u(lo)
+    lo = 0.9385958677423489
+    assert decompactify(compactify(lo)) < lo
+    seen = []
+
+    def fn(t):
+        seen.append(t)
+        return math.sqrt(t - lo) * math.exp(-1500.0 * (t - lo))
+
+    g = from_callable(fn, lo, lo + 1.0, 0.0, fn(lo + 1.0))
+    assert lo <= min(seen) and max(seen) <= lo + 1.0
+    assert variation(g) == pytest.approx(
+        2.0 * math.sqrt(1.0 / 3000.0) * math.exp(-0.5), rel=1e-12)

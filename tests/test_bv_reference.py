@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cpint.bv import blocks, constant, from_knots, heaviside, indicator
-from cpint.cfun import ContinuousFunctionBar, bump, delta_sequence
+from cpint.cfun import ContinuousFunctionBar, bump
 from cpint.chart import INF, NEG_INF
 from cpint.fixtures import (gaussian_distribution, random_bv,
                             random_monotone_bv)
@@ -172,9 +172,11 @@ def _exp_decay():
 @pytest.mark.parametrize("make_f,phi,value", [
     (gaussian_distribution, bump(0.5, 0.5), "-0x1.bcafe5a8e6088p-4"),
     (gaussian_distribution, bump(-1.0, 2.0, -1.5), "-0x1.a10fdc0a8f692p-2"),
-    (gaussian_distribution, delta_sequence(0.3, 4), "-0x1.13c3942b6e77dp-1"),
+    (gaussian_distribution, bump(0.3, 0.25, 1.0 / bump(0.3, 0.25).mass),
+     "-0x1.13c3942b6e77dp-1"),
     (_atan_bump, bump(-1.0, 2.0, -1.5), "-0x1.614c64085dec1p-1"),
-    (_atan_bump, delta_sequence(0.3, 4), "0x1.4a01289200aeep-1"),
+    (_atan_bump, bump(0.3, 0.25, 1.0 / bump(0.3, 0.25).mass),
+     "0x1.4a01289200aeep-1"),
 ])
 def test_pair_with_test_pinned(make_f, phi, value):
     assert pair_with_test(make_f(), phi).hex() == value

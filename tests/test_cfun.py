@@ -10,8 +10,7 @@ from cpint.cfun import (_AUDIT_GRID, _DEPTH_CAP, _INTERVAL_GRID,
                         _PROFILE_MASS, _ROUNDOFF, _STALL_LIMIT, _STALL_RATIO,
                         DEFAULT_TOL, ContinuousFunctionBar, _audit_grid,
                         _tail_limit,
-                        audit_on_interval, build_continuous, bump,
-                        delta_sequence, extremes)
+                        audit_on_interval, build_continuous, bump, extremes)
 from cpint.chart import decompactify, decompactify_many, u_grid
 from cpint.errors import BudgetExceeded, NoLimitAtInfinity, NotContinuous
 from cpint.space import (Distribution, distribution_from_evaluator,
@@ -112,13 +111,13 @@ class TestBump:
         assert phi(2.5) == 0.0
         assert phi(1.5) == 0.0
 
-    def test_delta_sequence_mass_one(self):
+    def test_mass_is_the_integral(self):
         from scipy import integrate
-        for n in (1, 4, 16):
-            phi = delta_sequence(0.0, n)
+        for c, w, a in [(0.0, 1.0, 1.0), (0.3, 0.25, -2.0), (-1.0, 1e-3, 5.0)]:
+            phi = bump(c, w, a)
             lo, hi = phi.support
-            mass, _ = integrate.quad(phi, lo, hi)
-            assert mass == pytest.approx(1.0, abs=1e-9)
+            mass, _ = integrate.quad(phi, lo, hi, points=[c])
+            assert mass == pytest.approx(phi.mass, rel=1e-9)
 
     def test_profile_mass_against_mpmath(self):
         import mpmath

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cpint.chart import (INF, NEG_INF, compactify, decompactify,
-                         golden_max, parse_extended, scan_max, scan_root,
-                         u_grid)
+                         golden_max, parse_extended, refined_extrema,
+                         scan_max, scan_root, u_grid)
 
 
 class TestCompactify:
@@ -191,6 +191,33 @@ class TestScanMax:
         got = scan_max(lambda t: 0.0, np.array(grid), np.array(vals), 8)
         assert _same_float(ref, got)
         assert math.isnan(got) == (where == 0)
+
+
+class TestRefinedExtrema:
+    def test_clipped_bracket_and_done_set(self):
+        # the peak at u = -0.8 is the turning point at grid[1], whose
+        # bracket [-1, -0.5] is clipped 1e-12 off u = -1, where x is
+        # infinite; a point once refined is not refined again
+        seen = []
+        fn = lambda u: seen.append(u) or -(u + 0.8) ** 2
+        grid = u_grid(9)
+        vals = np.array([fn(u) for u in grid.tolist()])
+        seen.clear()
+        done = set()
+        (t, v), = refined_extrema(fn, grid, vals, done, 0.0)
+        assert t == pytest.approx(-0.8, abs=1e-12) and v == fn(t)
+        assert min(seen) == -1.0 + 1e-12 and max(seen) == -0.5
+        assert done == {-0.75, t}
+        assert refined_extrema(fn, grid, vals, done, 0.0) == []
+
+    def test_floor_and_bracket_ends(self):
+        # a swing at most floor is not refined; a maximum that golden
+        # section places on an end of its bracket is dropped
+        grid = np.array([-0.5, 0.0, 0.5])
+        vals = np.array([0.0, 1.0, 0.0])
+        assert refined_extrema(lambda u: 1.0 - abs(u), grid, vals, set(),
+                               1.0) == []
+        assert refined_extrema(lambda u: -u, grid, vals, set(), 0.0) == []
 
 
 class TestExtendedParsing:

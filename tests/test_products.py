@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from cpint.bv import constant, from_knots, indicator, monotone
-from cpint.cfun import ContinuousFunctionBar
+from cpint.cfun import ContinuousFunctionBar, bump
 from cpint.chart import INF, NEG_INF
 from cpint.errors import DomainError, NonMonotone
 from cpint.fixtures import (arctan_distribution, cantor_function,
@@ -54,8 +54,10 @@ class TestPairWithTest:
         # f has density -2x exp(-x^2); narrow unit-mass bumps at 0.5
         f = gaussian_distribution()
         density = lambda x: -2.0 * x * math.exp(-x * x)
-        from cpint.cfun import delta_sequence
-        vals = [pair_with_test(f, delta_sequence(0.5, n)) for n in (4, 16, 64)]
+        # unit-mass bumps of width 1/n
+        vals = [pair_with_test(f, bump(0.5, 1.0 / n,
+                                       1.0 / bump(0.5, 1.0 / n).mass))
+                for n in (4, 16, 64)]
         errs = [abs(v - density(0.5)) for v in vals]
         assert errs[-1] < errs[0]
         assert errs[-1] < 1e-3

@@ -492,6 +492,30 @@ class TestIntegrandReads:
             "settled non-finite value after 0 panels on x in [0.0, inf]",
             71_798)
 
+    @pytest.mark.parametrize("width", [1e-3, 1e-12],
+                             ids=["near_a_node", "at_the_zero_only"])
+    def test_raising_zero_search_reads_as_nan(self, width):
+        # sin(x^2) raises within width of its third zero, which only the
+        # scan's zero search reads: there it is NaN, as at a scan point.
+        # Within 1e-3 the Gauss nodes of the lobe read it too; within
+        # 1e-12 they do not, and the total is the Fresnel one
+        zero = 3.069980123839467
+
+        def raising(x):
+            if abs(x - zero) < width:
+                raise ValueError("undefined")
+            return math.sin(x * x)
+
+        if width > 1e-6:
+            with pytest.raises(BudgetExceeded, match=(
+                    r"lobe non-finite value after 0 panels on x in "
+                    r"\[2\.5066")):
+                hake_from_integrand(raising)
+        else:
+            result = hake_from_integrand(raising)
+            assert (result.total, result.lobes_used) == (
+                0.6266570686577493, 3184)
+
     def test_array_form_matches_scalar_integrand(self):
         scalar_calls = 0
         many_points = []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cpint.cfun import ContinuousFunctionBar
-from cpint.errors import DomainError, NoLimitAtInfinity
+from cpint.errors import BudgetExceeded, DomainError, NoLimitAtInfinity
 from cpint.fixtures import si_distribution
 from cpint.space import Distribution
 from cpint.transforms import (HalfPlanePoint, _laplace_kernel_bv,
@@ -214,6 +214,14 @@ class TestWeightedIntegral:
     def test_negative_rate_rejected(self):
         with pytest.raises(DomainError):
             weighted_integral(lambda x: x, -1.0)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    def test_undefined_value_at_zero_raises(self, r):
+        # F(0) enters every sample of F_r; a call that raises there reads
+        # as NaN, which must not come back as the integral
+        with pytest.raises(BudgetExceeded, match="F\\(0.0\\) is nan"):
+            weighted_integral(
+                lambda x: 1.0 / 0.0 if x == 0.0 else math.atan(x), r)
 
     def test_slow_tail_without_weight_raises(self):
         # 1 - (1 + x)^(-1/2) tends to 1, but only like x^(-1/2): the tail
