@@ -18,7 +18,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import count, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from numpy.polynomial import legendre
 from .chart import (INF, NEG_INF, compactify, decompactify,
                     decompactify_many, refined_extrema)
 from .cfun import _ROUNDOFF, ContinuousFunctionBar, _safe
-from .errors import UNDEFINED, BudgetExceeded, IntervalEmpty, MalformedPieces
+from .errors import BudgetExceeded, IntervalEmpty, MalformedPieces, check_tol
 
 _MONO_SAMPLES = 65
 _MONO_SLACK = 1e-12
@@ -353,25 +353,20 @@ def _goal(tol: float, scale: float) -> float:
 class _StieltjesRule:
     """The Stieltjes rule of _refine in rs_integral, on k segments at
     once: int F dG over each [lo, hi] at its 17 panel nodes.  A
-    segment's key is the index of its piece of g, bisected in x or, for a
-    piece with an infinite end, in the compact chart; its ends carry the
-    pair (F, G) there, and the middle node's pair is the children's
-    shared end.  A call reads F once at the interior nodes of all k
-    segments, through F.eval_many, and G at each node as Piece.value
-    reads it: its piece's end limits beyond the piece, and its fn inside,
-    by one loop over the segments and their nodes that reads a raised
-    errors.UNDEFINED as NaN, as cfun._safe does.  Every product is a
-    stack of the products one panel makes alone (np.matmul runs one BLAS
-    call per stacked panel), so a panel's bits do not depend on the
-    panels it is evaluated with.
+    segment's key is the index of its piece of g in pieces, bisected in
+    x or, where charts[key] (an infinite end), in the compact chart; its
+    ends carry the pair (F, G) there, and the middle node's pair is the
+    children's shared end.  A call reads F once at the interior nodes of
+    all k segments, through F.eval_many, and G at each node through its
+    piece's Piece.value.  Every product is a stack of the products one
+    panel makes alone (np.matmul runs one BLAS call per stacked panel),
+    so a panel's bits do not depend on the panels it is evaluated with.
     A segment on a flat stretch of G contributes nothing: its value is
     None and no node of it is read."""
 
     def __init__(self, F, pieces, charts):
         self.F_many = F.eval_many
         self.pieces = pieces
-        self.ends = np.array([(p.lo, p.hi, p.lo_val, p.hi_val)
-                              for p in pieces])
         self.charts = charts
 
     def x_of(self, key, u):
@@ -397,22 +392,8 @@ class _StieltjesRule:
         fg = np.empty((len(live), 2, len(_NODES)))
         fg[:, :, 0], fg[:, :, -1] = lefts, rights
         fg[:, 0, 1:-1] = self.F_many(xs.ravel()).reshape(xs.shape)
-        # G at each node as Piece.value reads it: its piece's fn inside
-        # the piece, the piece's end limits beyond
-        lo, hi, lo_val, hi_val = self.ends[list(keys)].T[:, :, None]
-        g = np.where(xs <= lo, lo_val, hi_val)
-        inside = (lo < xs) & (xs < hi)
-        gs = []
-        append = gs.append
-        for fn, row, keep in zip((self.pieces[p].fn for p in keys),
-                                 xs.tolist(), inside.tolist()):
-            for x in compress(row, keep):
-                try:
-                    append(fn(x))
-                except UNDEFINED:
-                    append(math.nan)
-        g[inside] = gs
-        fg[:, 1, 1:-1] = g
+        fg[:, 1, 1:-1] = [list(map(self.pieces[p].value, row))
+                          for p, row in zip(keys, xs.tolist())]
         with np.errstate(all="ignore"):
             # centred on the middle node, the product's roundoff scales
             # with the panel's own variation rather than with |F| |g|
@@ -550,40 +531,42 @@ def rs_integral(F: ContinuousFunctionBar, g: BVFunction, a: float, b: float,
     call of F or of a piece of g that raises one of errors.UNDEFINED
     reads as NaN.  A non-finite panel, or a non-finite term at a nonzero
     jump, raises BudgetExceeded, as a run past _RS_SEGMENT_CAP segments
-    does.
+    does.  The partition points are a, the breakpoints inside (a, b) and
+    b.  F is read once at each of them and each piece of g once at its
+    ends, through Piece.value; every jump term and every panel's end
+    state comes from these values.
     """
-    if a > b:
+    if not a <= b:
         raise IntervalEmpty(f"rs_integral over [{a}, {b}]")
+    check_tol(tol, "rs_integral")
     if a == b:
         return 0.0
 
-    # endpoint correction terms and interior jumps (exact)
-    jumps = [(a, g.right_limit(a) - g(a)), (b, g(b) - g.left_limit(b))]
-    jumps += [(p, g.right_limit(p) - g.left_limit(p))
-              for p in g.breakpoints if a < p < b]
+    i = bisect_right(g.breakpoints, a)
+    j = bisect_left(g.breakpoints, b)
+    xs = [a, *g.breakpoints[i:j], b]
+    pieces = g.pieces[i:j + 1]
+    ends = [(p.value(x), p.value(y)) for p, x, y in zip(pieces, xs, xs[1:])]
+    Fs = [F(x) for x in xs]
+    # endpoint correction terms, then the interior jumps (exact)
+    jumps = [(0, ends[0][0] - g(a)), (-1, g(b) - ends[-1][1])]
+    jumps += [(k, right[0] - left[1])
+              for k, (left, right) in enumerate(zip(ends, ends[1:]), 1)]
     total = 0.0
-    for x, jump in jumps:
-        # a zero jump adds nothing, even where F(x) is undefined
-        term = F(x) * jump
-        if jump and not math.isfinite(term):
-            raise BudgetExceeded(f"Stieltjes non-finite value at x={x!r}")
-        total += term if jump else 0.0
+    for k, jump in jumps:
+        # a zero jump adds nothing, even where F is undefined
+        term = Fs[k] * jump if jump else 0.0
+        if not math.isfinite(term):
+            raise BudgetExceeded(f"Stieltjes non-finite value at x={xs[k]!r}")
+        total += term
 
-    pieces, charts, segments = [], [], []
-    for piece in g.pieces:
-        lo = max(piece.lo, a)
-        hi = min(piece.hi, b)
-        if lo >= hi:
-            continue
-        ga, gb = piece.value(lo), piece.value(hi)
-        left, right = (F(lo), ga), (F(hi), gb)
-        if ga == gb:
-            continue  # flat piece
-        chart = not math.isfinite(hi - lo)
-        u_of = compactify if chart else float
-        segments.append((u_of(lo), u_of(hi), len(pieces), left, right))
-        pieces.append(piece)
-        charts.append(chart)
+    charts = [not math.isfinite(hi - lo) for lo, hi in zip(xs, xs[1:])]
+    segments = []
+    for k, (ga, gb) in enumerate(ends):
+        if ga != gb:    # a flat piece adds nothing
+            u_of = compactify if charts[k] else float
+            segments.append((u_of(xs[k]), u_of(xs[k + 1]), k, (Fs[k], ga),
+                             (Fs[k + 1], gb)))
     rule = _StieltjesRule(F, pieces, charts)
     panels, _ = _refine(rule, segments, tol, "Stieltjes", rule.x_of,
                         _RS_SEGMENT_CAP)

@@ -46,7 +46,8 @@ import numpy as np
 
 from .chart import (INF, NEG_INF, decompactify, decompactify_many, scan_max,
                     u_grid)
-from .errors import UNDEFINED, BudgetExceeded, NoLimitAtInfinity, NotContinuous
+from .errors import (UNDEFINED, BudgetExceeded, NoLimitAtInfinity,
+                     NotContinuous, check_tol)
 
 DEFAULT_TOL = 1e-10
 
@@ -350,8 +351,9 @@ def build_continuous(evaluator: Callable[[float], float],
     omitted one found, as in _settled, on the +inf tail and then the -inf
     tail; then the oscillation audit runs over the whole chart.  Raises
     NoLimitAtInfinity if a tail does not settle, NotContinuous if the
-    audit detects a jump.
+    audit detects a jump, and DomainError a negative or NaN tol.
     """
+    check_tol(tol, "build_continuous")
     if not all(math.isfinite(c) for c in (limit_neg, limit_pos)
                if c is not None):
         raise NoLimitAtInfinity("claimed limits must be finite reals")

@@ -27,7 +27,7 @@ from .bv import (BVFunction, blocks, constant, from_knots, heaviside,
                  indicator, monotone)
 from .cfun import build_continuous
 from .chart import parse_extended
-from .errors import CpintError
+from .errors import CpintError, DomainError, check_tol
 from .expr import compile_expr
 from .lattice import LatticeKind, abs_norm, compare, lattice_op, parts
 from .products import (TaylorInput, change_of_variables, integral_product,
@@ -386,9 +386,12 @@ def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        check_tol(args.tol, "--tol")
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize others
         return int(exc.code or 0)
+    except DomainError as exc:
+        return _usage(str(exc))
     try:
         return args.func(args)
     except CpintError as exc:

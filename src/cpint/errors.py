@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all cpint modules."""
+"""Exception hierarchy shared by all cpint modules, and the one tol check."""
 
 
 # raised by an evaluator where its value is undefined; read as NaN
@@ -43,6 +43,12 @@ class ResidualTooLarge(CpintError):
 
 class DomainError(CpintError):
     """An argument lies outside the operation's stated domain."""
+
+
+def check_tol(tol: float, what: str) -> None:
+    """DomainError unless tol >= 0, which a NaN tol fails too."""
+    if not tol >= 0.0:
+        raise DomainError(f"{what} needs tol >= 0, got {tol!r}")
 
 
 class UnknownFixture(CpintError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cfun import DEFAULT_TOL
 from .chart import decompactify, refined_extrema, u_grid
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, check_tol
 from .space import Distribution, zero
 
 _COMPARE_GRID = 4097
@@ -60,8 +60,7 @@ def compare(f: Distribution, g: Distribution,
     its points; each witness is the first x, from -inf up, that shows its
     side.  A NaN difference shows neither side.  A negative or NaN tol
     raises DomainError."""
-    if not tol >= 0.0:
-        raise DomainError(f"compare needs tol >= 0, got {tol!r}")
+    check_tol(tol, "compare")
     us = u_grid(_COMPARE_GRID)
     with np.errstate(all="ignore"):
         d = (f.primitive.on_grid(_COMPARE_GRID)
@@ -136,6 +135,7 @@ def abs_norm(f: Distribution, tol: float = DEFAULT_TOL) -> AbsNormResult:
     Each level reads its dyadic grid through F.on_grid, so F's table
     grows to the finest level read.
     """
+    check_tol(tol, "abs_norm")
     F = f.primitive
     ext_u = ext_v = np.empty(0)     # the extrema refined so far
     done: set = set()

@@ -35,7 +35,7 @@ from numpy.polynomial import chebyshev, legendre
 from .bv import _goal, _refine
 from .cfun import DEFAULT_TOL, _many, _safe
 from .chart import compactify, decompactify, illinois_zero
-from .errors import NoLimitAtInfinity
+from .errors import NoLimitAtInfinity, check_tol
 from .space import Distribution, distribution_from_evaluator
 
 # Chebyshev coefficients, on t in [-1, 1], of the interpolant through
@@ -357,6 +357,7 @@ def hake_from_integrand(integrand, a: float = 0.0,
     defect_bound on the result; the total over [a, inf) is not affected
     by the tail model.
     """
+    check_tol(tol, "hake_from_integrand")
     lobes = _oscillatory_total(
         integrand, a, _scan_sign_changes(integrand, a, 0.5), tol)
     if lobes is None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cfun import (DEFAULT_TOL, ContinuousFunctionBar, build_continuous,
                    extremes, _with_many)
-from .errors import DomainError, IntervalEmpty
+from .errors import IntervalEmpty, check_tol
 
 _EQUALITY_GRID = 1025
 
@@ -75,7 +75,7 @@ def zero() -> Distribution:
 
 def integral(f: Distribution, a: float, b: float) -> float:
     """Integral of f over [a, b]: two evaluator calls on the primitive."""
-    if a > b:
+    if not a <= b:
         raise IntervalEmpty(f"integral over [{a}, {b}]")
     if a == b:
         return 0.0
@@ -121,8 +121,7 @@ def equal(f: Distribution, g: Distribution,
     Its default tol is that of lattice.compare, so the two agree on what
     counts as equal.  A NaN difference is not within tol; a negative or
     NaN tol raises DomainError."""
-    if not tol >= 0.0:
-        raise DomainError(f"equal needs tol >= 0, got {tol!r}")
+    check_tol(tol, "equal")
     with np.errstate(all="ignore"):
         d = (f.primitive.on_grid(_EQUALITY_GRID)
              - g.primitive.on_grid(_EQUALITY_GRID))

@@ -80,6 +80,8 @@ def boundary_norm_gap(f: Distribution, y: float,
     """
     if not y > 0.0:
         raise DomainError("boundary gap needs y > 0")
+    if probes < 2:
+        raise DomainError(f"boundary gap needs probes >= 2, got {probes!r}")
     F = f.primitive
     gap = 0.0
     xs = [-10.0 + 20.0 * i / (probes - 1) for i in range(probes)]
@@ -195,6 +197,8 @@ def growth_probe(f: Distribution, alpha: float, radii,
     radius; decreasing values are evidence for the o(1) decay."""
     if not (0.0 <= alpha < math.pi / 2):
         raise DomainError("cone half-angle must lie in [0, pi/2)")
+    if angles < 1:
+        raise DomainError(f"growth probe needs angles >= 1, got {angles!r}")
     out = []
     for r in radii:
         best = 0.0

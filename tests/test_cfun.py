@@ -11,8 +11,12 @@ from cpint.cfun import (_AUDIT_GRID, _DEPTH_CAP, _INTERVAL_GRID,
                         DEFAULT_TOL, ContinuousFunctionBar, _audit_grid,
                         _tail_limit,
                         audit_on_interval, build_continuous, bump, extremes)
-from cpint.chart import decompactify, decompactify_many, u_grid
-from cpint.errors import BudgetExceeded, NoLimitAtInfinity, NotContinuous
+from cpint.bv import monotone, rs_integral
+from cpint.chart import INF, NEG_INF, decompactify, decompactify_many, u_grid
+from cpint.errors import (BudgetExceeded, DomainError, NoLimitAtInfinity,
+                          NotContinuous)
+from cpint.lattice import abs_norm
+from cpint.quadrature import hake_from_integrand
 from cpint.space import (Distribution, distribution_from_evaluator,
                          hake_extend, norm)
 
@@ -101,6 +105,31 @@ class TestExtremes:
         assert got == (hi, lo)
         assert len(seen) == calls
         assert all(type(x) is float for x in seen)
+
+
+def _atan_bar(fn):
+    return ContinuousFunctionBar(fn, -math.pi / 2, math.pi / 2)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda fn, tol: build_continuous(fn, tol=tol),
+    lambda fn, tol: abs_norm(Distribution(_atan_bar(fn)), tol),
+    lambda fn, tol: rs_integral(_atan_bar(fn),
+                                monotone(fn, -math.pi / 2, math.pi / 2),
+                                NEG_INF, INF, tol),
+    lambda fn, tol: hake_from_integrand(fn, tol=tol),
+], ids=["build_continuous", "abs_norm", "rs_integral", "hake_from_integrand"])
+def test_negative_or_nan_tol_raises_before_any_call(call, tol):
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return math.atan(x)
+
+    with pytest.raises(DomainError):
+        call(fn, tol)
+    assert seen == []
 
 
 class TestBump:

@@ -201,6 +201,12 @@ class TestExitCodes:
         code, _, _ = invoke("frobnicate")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "-1e-300"])
+    def test_negative_or_nan_tol_is_usage_error(self, tol):
+        code, out, err = invoke(f"--tol={tol}", "norm", "--fixture", "arctan")
+        assert (code, out) == (2, "")
+        assert "--tol" in err
+
     @pytest.mark.parametrize("argv,flag", [
         (("taylor", "--fn-top", "cos(x)", "--coeffs", "0,x", "--a", "0",
           "--x", "0.5", "--n", "1"), "--coeffs"),

@@ -108,18 +108,21 @@ def ref_refine(segments, tol, what, cap=math.inf):
 
 
 def ref_rs_integral(F, g, a, b, tol=1e-10):
-    total = F(a) * (g.right_limit(a) - g(a))
-    total += F(b) * (g(b) - g.left_limit(b))
-    for p in g.breakpoints:
-        if a < p < b:
-            total += F(p) * (g.right_limit(p) - g.left_limit(p))
+    # the pieces of g on [a, b], each read at its two ends once, and F
+    # read once at each partition point
+    spans = [(max(p.lo, a), min(p.hi, b), p) for p in g.pieces
+             if max(p.lo, a) < min(p.hi, b)]
+    ends = [(piece.value(lo), piece.value(hi)) for lo, hi, piece in spans]
+    F_at = {x: F(x) for x in [a] + [hi for _, hi, _ in spans]}
+    total = 0.0
+    for x, jump in ([(a, ends[0][0] - g(a)), (b, g(b) - ends[-1][1])]
+                    + [(lo, right[0] - left[1]) for (lo, _, _), left, right
+                       in zip(spans[1:], ends, ends[1:])]):
+        if jump:
+            total += F_at[x] * jump
     segments = []
-    for piece in g.pieces:
-        lo, hi = max(piece.lo, a), min(piece.hi, b)
-        if lo >= hi:
-            continue
-        ga, gb = piece.value(lo), piece.value(hi)
-        left, right = (F(lo), ga), (F(hi), gb)
+    for (lo, hi, piece), (ga, gb) in zip(spans, ends):
+        left, right = (F_at[lo], ga), (F_at[hi], gb)
         if ga == gb:
             continue
         x_of, u_of = ((float, float) if math.isfinite(hi - lo)

@@ -40,6 +40,11 @@ class TestIntegral:
         with pytest.raises(IntervalEmpty):
             integral(arctan_distribution(), 1.0, 0.0)
 
+    @pytest.mark.parametrize("a,b", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_end_raises(self, a, b):
+        with pytest.raises(IntervalEmpty):
+            integral(arctan_distribution(), a, b)
+
 
 class TestNorms:
     def test_arctan_norm_values(self):

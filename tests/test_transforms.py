@@ -79,6 +79,11 @@ class TestPoisson:
         g2 = boundary_norm_gap(f, 0.1, probes=11)
         assert g2 < g1
 
+    @pytest.mark.parametrize("probes", [1, 0, -3])
+    def test_boundary_gap_needs_two_probes(self, probes):
+        with pytest.raises(DomainError):
+            boundary_norm_gap(indicator_distribution(), 1.0, probes=probes)
+
 
 class TestLaplace:
     def test_exponential_closed_form(self):
@@ -139,6 +144,11 @@ class TestLaplace:
         fe = exp_decay_distribution()
         vals = growth_probe(fe, 0.5, [1.0, 4.0, 16.0], angles=9)
         assert vals[0] > vals[1] > vals[2]
+
+    @pytest.mark.parametrize("angles", [0, -1])
+    def test_growth_probe_needs_an_angle(self, angles):
+        with pytest.raises(DomainError):
+            growth_probe(exp_decay_distribution(), 0.5, [1.0], angles=angles)
 
 
 class TestLaplaceKernel:
