@@ -23,7 +23,7 @@ from .errors import (BudgetExceeded, CpintError, DomainError, EvalError,
                      ExprSyntaxError, IntervalEmpty, MalformedPieces,
                      NoLimitAtInfinity, NonMonotone, NotContinuous,
                      ResidualTooLarge, UnknownFixture, UnknownFunction)
-from .expr import compile_expr, evaluate, parse, unparse
+from .expr import compile_expr
 from .lattice import (AbsNormResult, LatticeKind, Order, OrderResult,
                       abs_norm, compare, lattice_op, parts)
 from .products import (HolderBound, TaylorInput, TaylorResult,

@@ -227,7 +227,7 @@ def blocks(spans: Iterable[tuple[float, float, float]]) -> BVFunction:
 def monotone(fn: Callable[[float], float], limit_neg: float,
              limit_pos: float) -> BVFunction:
     """Single monotone continuous piece over the whole line."""
-    return BVFunction([Piece(NEG_INF, INF, fn, limit_neg, limit_pos)])
+    return _cut([fn], [NEG_INF, INF], [limit_neg, limit_pos])
 
 
 def from_knots(knots: Sequence[float], values: Sequence[float]) -> BVFunction:
@@ -235,16 +235,12 @@ def from_knots(knots: Sequence[float], values: Sequence[float]) -> BVFunction:
     constant beyond the first and last knot."""
     if len(knots) != len(values) or len(knots) < 2:
         raise MalformedPieces("need matching knots and values, at least two")
-    pieces = [_const_piece(NEG_INF, knots[0], values[0])]
-    for (x0, x1, v0, v1) in zip(knots, knots[1:], values, values[1:]):
-        if x1 <= x0:
-            raise MalformedPieces("knots must be strictly increasing")
-        slope = (v1 - v0) / (x1 - x0)
-        pieces.append(Piece(x0, x1,
-                            lambda x, x0=x0, v0=v0, slope=slope:
-                            v0 + slope * (x - x0), v0, v1))
-    pieces.append(_const_piece(knots[-1], INF, values[-1]))
-    return BVFunction(pieces)
+    spans = list(zip(knots, knots[1:], values, values[1:]))
+    if not all(NEG_INF < x0 < x1 < INF for x0, x1, _, _ in spans):
+        raise MalformedPieces("knots must be strictly increasing")
+    return _cut([lambda x, x0=x0, v0=v0, slope=(v1 - v0) / (x1 - x0):
+                 v0 + slope * (x - x0) for x0, x1, v0, v1 in spans],
+                knots, values)
 
 
 def cut_at(fn: Callable[[float], float],
@@ -252,17 +248,19 @@ def cut_at(fn: Callable[[float], float],
     """fn cut into pieces at strictly increasing finite knots, constant
     beyond the first and last: the shape of the library's own kernels,
     whose extrema are known."""
-    return _cut(fn, knots, [fn(k) for k in knots])
+    return _cut(repeat(fn), knots, [fn(k) for k in knots])
 
 
-def _cut(fn: Callable[[float], float], knots: Sequence[float],
+def _cut(fns: Iterable[Callable[[float], float]], knots: Sequence[float],
          vals: Sequence[float]) -> BVFunction:
-    """fn cut at strictly increasing knots, where it takes the values
-    vals, and constant beyond a finite first or last knot."""
+    """The continuous BV function that is the i-th of fns between the
+    i-th and (i+1)-th of strictly increasing knots, where it takes the
+    values vals, and constant beyond a finite first or last knot.  Every
+    continuous BV function the library builds is assembled here."""
     ends = [(NEG_INF, knots[0], vals[0]), (knots[-1], INF, vals[-1])]
     return BVFunction(
         [Piece(a, b, fn, va, vb)
-         for a, b, va, vb in zip(knots, knots[1:], vals, vals[1:])]
+         for fn, a, b, va, vb in zip(fns, knots, knots[1:], vals, vals[1:])]
         + [_const_piece(*end) for end in ends if end[0] < end[1]])
 
 
@@ -287,7 +285,7 @@ def from_callable(fn: Callable[[float], float], lo: float, hi: float,
     x_of = lambda u: min(max(decompactify(u), lo), hi)
     cuts = refined_extrema(lambda u: fn(x_of(u)), us, np.array(vs), set(),
                            0.0)
-    return _cut(fn, [lo] + [x_of(t) for t, _ in cuts] + [hi],
+    return _cut(repeat(fn), [lo] + [x_of(t) for t, _ in cuts] + [hi],
                 [limit_lo] + [v for _, v in cuts] + [limit_hi])
 
 

@@ -120,8 +120,7 @@ def _cmd_integrate(args) -> int:
         if not args.primitive_of:
             raise SystemExit(_usage("--hake needs --primitive-of EXPR"))
         integrand = compile_expr(args.primitive_of)
-        start = a if math.isfinite(a) else 0.0
-        h = hake_from_integrand(integrand, a=start, tol=args.tol)
+        h = hake_from_integrand(integrand, a=a, tol=args.tol)
         f = h.distribution
         sys.stderr.write(f"hake: {h.lobes_used} lobes, cutoff "
                          f"{h.cutoff:g}, defect bound {h.defect_bound:g}\n")
@@ -382,10 +381,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(parser: argparse.ArgumentParser,
+                      argv: list[str]) -> list[str]:
+    """argv with each value that starts with '-' joined to its flag, as
+    --flag=value: argparse reads only -N and -N.N as numbers and takes
+    any other such value (-inf, -1e-5, -atan(x)) for an option."""
+    parsers = [parser] + [sub for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction)
+                          for sub in action.choices.values()]
+    # every flag, and whether it expects one value
+    flags = {flag: action.nargs is None for p in parsers
+             for action in p._actions for flag in action.option_strings}
+    out: list[str] = []
+    for arg in argv:
+        if (out and flags.get(out[-1]) and arg.startswith("-")
+                and arg not in flags):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(
+            parser, sys.argv[1:] if argv is None else argv))
         check_tol(args.tol, "--tol")
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize others

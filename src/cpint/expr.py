@@ -16,9 +16,9 @@ Evaluation uses the convention that an exact zero factor absorbs a
 non-finite cofactor, so x^2 * cos(x^-2) evaluates to 0 at x = 0.
 
 A tree compiles once into one Python function of x: straight-line code
-with one temporary per node, so a call walks no tree.  Parsing, compiling
-and printing run on an explicit stack, so an expression may nest as
-deeply as memory allows.
+with one temporary per node, so a call walks no tree.  Parsing and
+compiling run on an explicit stack, so an expression may nest as deeply
+as memory allows.  compile_expr is the one entry point.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Callable, Generator, Optional
 
 from .errors import UNDEFINED, EvalError, ExprSyntaxError, UnknownFunction
@@ -52,10 +51,6 @@ class Node:
     op: str = ""
     name: str = ""
     children: tuple["Node", ...] = ()
-
-    @cached_property
-    def _function(self) -> Callable[[float], float]:
-        return _compile(self)
 
 
 @dataclass(frozen=True)
@@ -249,15 +244,10 @@ def parse(src: str) -> Node:
     return _Parser(src).parse()
 
 
-def evaluate(node: Node, x: float) -> float:
-    """Evaluate a parsed tree at x; arithmetic faults become EvalError.
-    The tree compiles on its first evaluation and keeps the function."""
-    return node._function(x)
-
-
 def compile_expr(src: str) -> Callable[[float], float]:
-    """Parse and compile once, return a float -> float evaluator."""
-    return parse(src)._function
+    """Parse and compile once, return a float -> float evaluator;
+    arithmetic faults become EvalError."""
+    return _compile(parse(src))
 
 
 def _fault(x: float, exc: Exception) -> EvalError:
@@ -362,43 +352,3 @@ def _compile(tree: Node) -> Callable[[float], float]:
     exec(compile(source, "<expression>", "exec"), namespace)
     return namespace["expression"]
 
-
-def unparse(node: Node) -> str:
-    """Print a tree back to source.  Printing is a fixed point,
-    unparse(parse(unparse(t))) == unparse(t), and parse(unparse(t)) has
-    t's values."""
-    return _run(_unparse(node, 0))
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
-
-def _unparse(node: Node, parent_prec: int) -> _Step:
-    if node.kind == "num":
-        # the grammar has no name for inf; 1e999 parses to it
-        return repr(node.value) if math.isfinite(node.value) else "1e999"
-    if node.kind == "var":
-        return "x"
-    if node.kind == "neg":
-        inner = yield _unparse(node.children[0], 3)
-        out = f"-{inner}"
-        return f"({out})" if parent_prec > 3 else out
-    if node.kind == "call":
-        arg = yield _unparse(node.children[0], 0)
-        return f"{node.name}({arg})"
-    if node.kind == "piecewise":
-        args = []
-        for c in node.children:
-            args.append((yield _unparse(c, 0)))
-        return f"piecewise({', '.join(args)})"
-    prec = _PREC[node.op]
-    # left child at this precedence, right child one tighter for the
-    # left-associative operators; ^ is right-associative so mirrored
-    if node.op == "^":
-        left = yield _unparse(node.children[0], prec + 1)
-        right = yield _unparse(node.children[1], prec)
-    else:
-        left = yield _unparse(node.children[0], prec)
-        right = yield _unparse(node.children[1], prec + 1)
-    out = f"{left} {node.op} {right}"
-    return f"({out})" if parent_prec > prec else out

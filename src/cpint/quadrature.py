@@ -35,7 +35,7 @@ from numpy.polynomial import chebyshev, legendre
 from .bv import _goal, _refine
 from .cfun import DEFAULT_TOL, _many, _safe
 from .chart import compactify, decompactify, illinois_zero
-from .errors import NoLimitAtInfinity, check_tol
+from .errors import DomainError, NoLimitAtInfinity, check_tol
 from .space import Distribution, distribution_from_evaluator
 
 # Chebyshev coefficients, on t in [-1, 1], of the interpolant through
@@ -321,7 +321,9 @@ def _settled_table(integrand, a: float, tol: float):
 
 def hake_from_integrand(integrand, a: float = 0.0,
                         tol: float = DEFAULT_TOL) -> HakeResult:
-    """Primitive of an integrand on [a, inf), extended by 0 left of a.
+    """Primitive of an integrand on [a, inf), extended by 0 left of a;
+    a = -inf means the whole line, where the scan finds no sign change
+    and the settled path integrates over the whole compact chart.
 
     Both paths interpolate h at the 20 Gauss-Legendre nodes of a
     segment (_gauss_panels) and bisect the segment with the largest
@@ -358,6 +360,8 @@ def hake_from_integrand(integrand, a: float = 0.0,
     by the tail model.
     """
     check_tol(tol, "hake_from_integrand")
+    if not a < math.inf:
+        raise DomainError("hake_from_integrand needs a < inf")
     lobes = _oscillatory_total(
         integrand, a, _scan_sign_changes(integrand, a, 0.5), tol)
     if lobes is None:

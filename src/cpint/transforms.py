@@ -11,8 +11,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
-from .bv import BVFunction, Piece, constant, cut_at, monotone, rs_integral
+from .bv import (BVFunction, _cut, constant, cut_at, monotone,
+                 rs_integral)
 from .cfun import DEFAULT_TOL, ContinuousFunctionBar, _settled, _tail_limit
 from .chart import INF, NEG_INF, illinois_zero
 from .errors import BudgetExceeded, DomainError, NoLimitAtInfinity
@@ -46,8 +48,7 @@ def poisson_kernel_bv(x: float, y: float) -> BVFunction:
         except OverflowError:   # |x - t| > 1.3e154; 0.0 from 7.6e153 on
             return 0.0
 
-    return BVFunction([Piece(NEG_INF, x, K, 0.0, peak),
-                       Piece(x, INF, K, peak, 0.0)])
+    return _cut(repeat(K), [NEG_INF, x, INF], [0.0, peak, 0.0])
 
 
 def poisson(f: Distribution, p: HalfPlanePoint,
@@ -150,9 +151,7 @@ def _laplace_kernel_bv(z: complex, part: str, n: int,
         return constant(0.0)
     if y == 0.0 and n == 0:
         # plain exponential: single monotone piece, no truncation
-        return BVFunction([Piece(NEG_INF, 0.0, lambda t: 1.0, 1.0, 1.0),
-                           Piece(0.0, INF, lambda t: math.exp(-x * t),
-                                 1.0, 0.0)])
+        return _cut([lambda t: math.exp(-x * t)], [0.0, INF], [1.0, 0.0])
     T = (math.log(1.0 / tol) + _TAIL_SAFETY + n * max(
         0.0, math.log1p(n / x))) / x
     if y == 0.0:

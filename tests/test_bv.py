@@ -127,6 +127,12 @@ class TestPointValuesAndLimits:
         with pytest.raises(MalformedPieces):
             blocks([(1.0, 2.0, 1.0), (1.5, 3.0, 1.0)])  # overlap
 
+    @pytest.mark.parametrize("knots", [
+        [NEG_INF, 0.0], [0.0, INF], [0.0, math.nan], [1.0, 1.0], [1.0, 0.0]])
+    def test_from_knots_needs_finite_increasing_knots(self, knots):
+        with pytest.raises(MalformedPieces):
+            from_knots(knots, [0.0, 1.0])
+
     def test_zero_length_piece_rejected(self):
         zero = lambda x: 0.0
         with pytest.raises(MalformedPieces):

@@ -61,6 +61,56 @@ class TestIntegrate:
         assert first == second
 
 
+class TestValuesStartingWithDash:
+    """A value that starts with '-' may follow its flag after a space:
+    argparse alone reads only -N and -N.N as numbers and takes -inf,
+    -1e-5 or -atan(x) for an option."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("integrate", "--fixture", "arctan", "--from", "-inf", "--to",
+          "inf"), "a,b,value\n-inf,inf,3.1415926535897931\n"),
+        (("integrate", "--fixture", "arctan", "--from", "-1e-5", "--to",
+          "1"), "a,b,value\n-1.0000000000000001e-05,1,0.7854081633974479\n"),
+        (("poisson", "--fixture", "arctan", "--x", "-2e0", "--y", "0.3"),
+         "x,y,value\n-2,0.29999999999999999,0.22847100175746926\n"),
+        (("integrate", "--primitive", "-atan(x)", "--from", "0", "--to",
+          "1"), "a,b,value\n0,1,-0.78539816339744828\n"),
+        (("taylor", "--fn-top", "cos(x)", "--coeffs", "-1,0", "--a", "0",
+          "--x", "0.5", "--n", "1"),
+         "x,polynomial,remainder,bound_pointwise,bound_uniform\n"
+         "0.5,-1,-0.02057446139579705,0.061208719054813621,"
+         "0.061208719054813621\n"),
+    ], ids=["from-inf", "from-exponent", "x-exponent", "primitive",
+            "coeffs"])
+    def test_space_separated(self, argv, expected):
+        assert invoke(*argv)[:2] == (0, expected)
+
+    def test_flag_is_not_taken_for_a_value(self):
+        code, out, err = invoke("integrate", "--fixture", "--from", "-1",
+                                "--to", "1")
+        assert (code, out) == (2, "")
+        assert "--fixture: expected one argument" in err
+
+
+class TestHakeWholeLine:
+    @pytest.mark.parametrize("integrand,expected", [
+        ("exp(-x^2)", "a,b,value\n-inf,inf,1.7724538509055157\n"),
+        ("1/(1+x^2)", "a,b,value\n-inf,inf,3.1415926535897927\n"),
+    ])
+    def test_from_minus_inf(self, integrand, expected):
+        code, out, err = invoke("integrate", "--hake", "--primitive-of",
+                                integrand, "--from", "-inf", "--to", "inf")
+        assert (code, out) == (0, expected)
+        assert err.startswith("hake: 0 lobes, cutoff inf")
+
+    def test_from_inf_is_domain_error(self):
+        code, out, err = invoke("integrate", "--hake", "--primitive-of",
+                                "exp(-x^2)", "--from", "inf", "--to", "inf")
+        assert (code, out) == (1, "")
+        assert err == ("error: DomainError: hake_from_integrand needs "
+                       "a < inf\n")
+
+
 class TestOtherCommands:
     def test_norm(self):
         code, out, _ = invoke("norm", "--fixture", "arctan")
@@ -194,8 +244,10 @@ class TestExitCodes:
         assert "error:" in err
 
     def test_missing_source_is_usage_error(self):
-        code, _, _ = invoke("integrate", "--from", "-inf", "--to", "inf")
-        assert code == 2
+        code, out, err = invoke("integrate", "--from", "-inf", "--to", "inf")
+        assert (code, out) == (2, "")
+        assert err == ("usage error: one of --primitive or --fixture is "
+                       "required\n")
 
     def test_unknown_subcommand_is_usage_error(self):
         code, _, _ = invoke("frobnicate")

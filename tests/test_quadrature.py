@@ -8,7 +8,7 @@ import pytest
 from scipy import special
 
 from cpint.bv import _refine
-from cpint.errors import BudgetExceeded, NoLimitAtInfinity
+from cpint.errors import BudgetExceeded, DomainError, NoLimitAtInfinity
 from cpint.quadrature import (_SCAN_STEPS, _SEGMENT_CAP, _gauss_panels,
                               _primitive_table, _scan_sign_changes,
                               epsilon_limit, hake_from_integrand)
@@ -230,6 +230,24 @@ class TestHakeSettled:
     ], ids=["rational", "gauss"])
     def test_scaled_totals(self, h, total):
         assert hake_from_integrand(h).total == pytest.approx(total, abs=1e-10)
+
+    @pytest.mark.parametrize("h,total", [
+        (lambda x: math.exp(-x * x), math.sqrt(math.pi)),
+        (lambda x: 1.0 / (1.0 + x * x), math.pi),
+    ], ids=["gauss", "rational"])
+    def test_whole_line_from_minus_inf(self, h, total):
+        r = hake_from_integrand(h, a=-math.inf)
+        assert (r.lobes_used, r.cutoff) == (0, math.inf)
+        assert r.total == pytest.approx(total, abs=1e-15)
+        assert r.distribution.primitive(0.0) == pytest.approx(total / 2.0,
+                                                              abs=1e-12)
+
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_start_must_be_below_inf(self, a):
+        calls = []
+        with pytest.raises(DomainError, match="needs a < inf"):
+            hake_from_integrand(lambda x: calls.append(x) or 1.0, a=a)
+        assert calls == []
 
     @pytest.mark.parametrize("h,primitive", [
         (lambda x: math.exp(-x * x),
